@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use dragonfly::{DragonflyConfig, Routing, Topology};
 use harness::sweep::{run_one, Net, RunKey, SweepConfig, Workload};
 use placement::Placement;
-use ross::{Scheduler, SimDuration, SimTime};
+use ross::{OptimisticConfig, Scheduler, SimDuration, SimTime};
 use union_core::{RankVm, SkeletonInstance, Validation};
 use workloads::{app, AppKind, Profile};
 
@@ -208,8 +208,10 @@ fn bench_scheduler_sweep(c: &mut Criterion) {
     };
     let mut scheds = vec![("seq".to_string(), Scheduler::Sequential)];
     for threads in [2usize, 4] {
-        scheds.push((format!("cons:{threads}"), Scheduler::Conservative(threads)));
-        scheds.push((format!("opt:{threads}"), Scheduler::Optimistic(threads)));
+        scheds.push((
+            format!("opt:{threads}"),
+            Scheduler::Optimistic { threads, config: OptimisticConfig::default() },
+        ));
         scheds.push((
             format!("par:{threads}:100"),
             Scheduler::ConservativeParallel { threads, lookahead: SimDuration::from_ns(100) },

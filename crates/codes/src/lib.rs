@@ -51,7 +51,7 @@ mod tests {
     use super::*;
     use dragonfly::{DragonflyConfig, Routing};
     use placement::Placement;
-    use ross::{Scheduler, SimTime};
+    use ross::{OptimisticConfig, Scheduler, SimDuration, SimTime};
     use union_core::{translate_source, RankVm, SkeletonInstance};
 
     fn vms(src: &str, n: u32) -> Vec<RankVm> {
@@ -96,7 +96,11 @@ mod tests {
                    message to task (t+1) mod num_tasks then all tasks await completions } \
                    then all tasks reduce a 100000 byte message to all tasks.";
         let mut fingerprints = Vec::new();
-        for sched in [Scheduler::Sequential, Scheduler::Conservative(4), Scheduler::Optimistic(4)] {
+        for sched in [
+            Scheduler::Sequential,
+            Scheduler::ConservativeParallel { threads: 4, lookahead: SimDuration::from_ns(1) },
+            Scheduler::Optimistic { threads: 4, config: OptimisticConfig::default() },
+        ] {
             let mut sim = SimulationBuilder::new(DragonflyConfig::tiny_1d())
                 .routing(Routing::Adaptive)
                 .placement(Placement::RandomNodes)
@@ -263,8 +267,13 @@ mod tests {
             (lat, r.link_load)
         };
         let seq = fp(Scheduler::Sequential);
-        assert_eq!(seq, fp(Scheduler::Conservative(4)));
-        assert_eq!(seq, fp(Scheduler::Optimistic(4)));
+        let par =
+            Scheduler::ConservativeParallel { threads: 4, lookahead: SimDuration::from_ns(1) };
+        assert_eq!(seq, fp(par));
+        assert_eq!(
+            seq,
+            fp(Scheduler::Optimistic { threads: 4, config: OptimisticConfig::default() })
+        );
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!   --iters N               iterations per app (default 2)
 //!   --scale N               payload divisor (default 16)
 //!   --seed N
-//!   --sched seq|cons:T|opt:T[:B:I]|par:T:L|async:T:L
+//!   --sched seq|opt:T[:B:I]|par:T:L|async:T:L
 //!                                       (par = conservative-parallel,
 //!                                       async = barrier-free conservative,
 //!                                       T threads, L ns lookahead window;
@@ -65,7 +65,7 @@ fn main() {
             eprintln!(
                 "usage: union-exp <table1|table2|validate|fig7|fig8|fig9|table6|all|skeleton|lint|trace|phold|mix|top> [opts]\n\
                  sweep opts: --profile quick|paper  --iters N  --scale N  --seed N\n\
-                 \x20           --sched seq|cons:T|opt:T[:B:I]|par:T:L|async:T:L  (T threads,\n\
+                 \x20           --sched seq|opt:T[:B:I]|par:T:L|async:T:L  (T threads,\n\
                  \x20           L ns lookahead, B batch, I snapshot interval)\n\
                  \x20           --queue heap|ladder  (pending-event queue, default ladder)\n\
                  \x20           --nets 1d,2d  --placements RN,RR,RG  --routings MIN,ADP\n\
@@ -83,7 +83,7 @@ fn main() {
                  \x20           (exposition endpoint: GET /metrics Prometheus text,\n\
                  \x20           /snapshot JSON; gang runs serve one aggregated endpoint)\n\
                  mix opts:   --sched seq|shard:N:T:L  --workload W  --net 1d|2d\n\
-                 \x20           --placement RN|RR|RG  --routing MIN|ADP  [sweep opts]\n\
+                 \x20           --placement RN|RR|RG  --routing MIN|ADP  [sweep opts but --trace]\n\
                  \x20           --shard-no-verify  --telemetry FILE  --live ADDR\n\
                  top:        union-exp top ADDR|FILE  (live summary table from a\n\
                  \x20           running endpoint or a snapshot JSONL file)"
@@ -170,7 +170,7 @@ fn has(rest: &[String], flag: &str) -> bool {
     rest.iter().any(|a| a == flag)
 }
 
-/// Parse a `--sched` spec: `seq`, `cons:T`, `opt:T` or `opt:T:B:I`,
+/// Parse a `--sched` spec: `seq`, `opt:T` or `opt:T:B:I`,
 /// `par:T:L`, or `async:T:L` where `T` is the worker-thread count, `L`
 /// the lookahead in ns (`par:4:500` = 4 workers, 500 ns windows;
 /// `async:4:500` = the barrier-free scheduler with the same lookahead
@@ -186,13 +186,18 @@ fn parse_sched(s: &str) -> Result<Scheduler, String> {
     }
     if s == "seq" {
         Ok(Scheduler::Sequential)
-    } else if let Some(t) = s.strip_prefix("cons:") {
-        Ok(Scheduler::Conservative(threads(t, s)?))
+    } else if s.starts_with("cons:") {
+        Err(format!(
+            "`{s}`: the cons:T scheduler was retired; use par:T:L instead (par:T:1 runs the \
+             same 1 ns windows, with identical results)"
+        ))
     } else if let Some(rest) = s.strip_prefix("opt:") {
         let mut parts = rest.split(':');
         let t = threads(parts.next().unwrap_or(""), s)?;
         match (parts.next(), parts.next(), parts.next()) {
-            (None, ..) => Ok(Scheduler::Optimistic(t)),
+            (None, ..) => {
+                Ok(Scheduler::Optimistic { threads: t, config: ross::OptimisticConfig::default() })
+            }
             (Some(b), Some(i), None) => {
                 let batch = b
                     .parse::<usize>()
@@ -203,7 +208,7 @@ fn parse_sched(s: &str) -> Result<Scheduler, String> {
                     i.parse::<u64>().ok().filter(|&n| n >= 1).ok_or_else(|| {
                         format!("bad snapshot interval `{i}` in scheduler spec `{s}`")
                     })?;
-                Ok(Scheduler::OptimisticWith {
+                Ok(Scheduler::Optimistic {
                     threads: t,
                     config: ross::OptimisticConfig { batch, snapshot_interval },
                 })
@@ -239,8 +244,7 @@ fn parse_sched(s: &str) -> Result<Scheduler, String> {
         ))
     } else {
         Err(format!(
-            "unknown scheduler `{s}` (expected seq, cons:T, opt:T, opt:T:B:I, par:T:L, or \
-             async:T:L)"
+            "unknown scheduler `{s}` (expected seq, opt:T, opt:T:B:I, par:T:L, or async:T:L)"
         ))
     }
 }
@@ -440,6 +444,18 @@ fn telemetry_finish(
     }
     eprintln!("wrote {path} ({} records)", rec.len());
     print!("{}", report::telemetry_summary_with_trace(&rec, analyses));
+}
+
+/// `--trace` is wired into the sweep commands and fig8 only: reject it
+/// elsewhere instead of exiting 0 without writing the file.
+fn reject_trace(cmd: &str, rest: &[String]) {
+    if has(rest, "--trace") {
+        eprintln!(
+            "union-exp: --trace is not supported by `{cmd}` (use it with fig7, fig8, fig9, \
+             table6 or all)"
+        );
+        std::process::exit(2);
+    }
 }
 
 /// When `--trace FILE[:RATE]` is given: create a causal tracer sampling
@@ -893,6 +909,7 @@ fn top_cmd(rest: &[String]) {
 /// sequential run unless `--shard-no-verify` is given.
 fn phold_cmd(rest: &[String]) {
     use harness::shard::{self, PholdParams, ShardSpec, PHOLD_MIN_DELAY_NS};
+    reject_trace("phold", rest);
     let lps: u32 = opt(rest, "--lps", 16);
     if lps == 0 {
         eprintln!("union-exp: --lps must be >= 1");
@@ -1199,6 +1216,7 @@ fn build_mix(
 /// sequential run of the same model.
 fn mix_cmd(rest: &[String]) {
     use harness::shard::{self, ShardSpec};
+    reject_trace("mix", rest);
     if has(rest, "--checkpoint") || has(rest, "--restore") {
         eprintln!(
             "union-exp: checkpoint/restart is supported for the phold model only \

@@ -76,21 +76,17 @@
 //! instead of spinning is what keeps `--cfg union_check` exploration
 //! finite — a parked thread is simply not enabled until a send lands.
 
-use crate::engine::{seal_outgoing, QueueTelemetry, RunStats, Simulation};
+use crate::engine::{RunStats, Simulation};
 use crate::event::Envelope;
-use crate::lp::{Ctx, Lp, LpMeta, Outgoing};
+use crate::lp::{Lp, LpMeta};
 use crate::mailbox::Mailbox;
-use crate::parallel::MAILBOX_CHUNK;
-use crate::partition::Partition;
+use crate::parallel::{MAILBOX_CHUNK, SPARE_CHUNKS_MAX};
 use crate::queue::{EventQueue, PendingQueue};
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use crate::sync::{mpsc, thread, Mutex};
+use crate::sync::{mpsc, thread};
 use crate::time::{SimDuration, SimTime};
+use crate::worker::{self, Hop, Lane, Run};
 use std::collections::HashMap;
-use std::panic::AssertUnwindSafe;
-
-/// Retained empty chunk vectors per worker (see [`crate::parallel`]).
-const SPARE_CHUNKS_MAX: usize = 64;
 /// A victim must have at least this many queued events before a steal
 /// request is posted against it.
 const STEAL_MIN_QLEN: u64 = 8;
@@ -108,6 +104,13 @@ fn idle_spin_budget() -> u32 {
 #[cfg(union_check)]
 fn idle_spin_budget() -> u32 {
     0
+}
+
+/// Earliest receive time a worker holds: its queue head or a stashed
+/// forward (`u64::MAX` when it holds nothing).
+fn head_time<E>(queue: &mut PendingQueue<E>, stash: &[Envelope<E>]) -> u64 {
+    let head = queue.peek_time().map(|ts| ts.0).unwrap_or(u64::MAX);
+    stash.iter().map(|e| e.recv_time.0).fold(head, u64::min)
 }
 
 /// An LP block in flight from a victim to a thief: state, meta, and every
@@ -143,42 +146,15 @@ impl<L: Lp> Simulation<L> {
             return self.run_sequential(until);
         }
         let la = lookahead.max(self.lookahead).as_ns().max(1);
-        let assignment = match &self.partition {
-            Some(p) => {
-                assert_eq!(
-                    p.n_lps(),
-                    n_lps,
-                    "partition covers {} LPs but the simulation has {}",
-                    p.n_lps(),
-                    n_lps
-                );
-                p.assign(n_threads)
-            }
-            None => Partition::per_lp(n_lps).assign(n_threads),
-        };
+        let assignment = worker::packing(self.partition.as_ref(), n_lps).assign(n_threads);
         let owner_of = &assignment.owner_of;
         let local_of = &assignment.local_of;
-
-        // LP state moves into per-thread vectors as in `crate::parallel`,
-        // but in `Option` slots: migration takes an LP out of its home
-        // worker's slot mid-run.
-        let mut lps_by_thread: Vec<Vec<Option<L>>> = (0..n_threads).map(|_| Vec::new()).collect();
-        let mut meta_by_thread: Vec<Vec<LpMeta>> = (0..n_threads).map(|_| Vec::new()).collect();
-        for (gid, lp) in std::mem::take(&mut self.lps).into_iter().enumerate() {
-            lps_by_thread[owner_of[gid] as usize].push(Some(lp));
-        }
-        for (gid, meta) in std::mem::take(&mut self.meta).into_iter().enumerate() {
-            meta_by_thread[owner_of[gid] as usize].push(meta);
-        }
-
-        let qkind = self.queue;
-        let mut queues: Vec<PendingQueue<L::Event>> =
-            (0..n_threads).map(|_| qkind.new_queue()).collect();
-        let mut scratch = Vec::with_capacity(self.pending.len());
-        self.pending.drain_to(&mut scratch);
-        for env in scratch.drain(..) {
-            queues[owner_of[env.dst as usize] as usize].push(env);
-        }
+        let run =
+            Run::open(self, "conservative-async", n_threads, SimDuration::from_ns(la), start, true);
+        // LP state moves into per-thread lanes as in `crate::parallel`;
+        // each worker keeps its LPs in `Option` slots, because migration
+        // takes an LP out of its home worker mid-run.
+        let (mut lanes, mut slots) = worker::split(self, &assignment.locals, owner_of);
 
         // Initial horizons: every event anywhere sits at or above the
         // global pending minimum, and every send adds at least `la` of
@@ -186,9 +162,9 @@ impl<L: Lp> Simulation<L> {
         // worker, and the fixed point the publish rule grows from. (A
         // per-worker `head + la` would be unsound: a peer's earlier event
         // can arrive below this worker's own head.)
-        let global_min = queues
+        let global_min = lanes
             .iter_mut()
-            .filter_map(|q| q.peek_time())
+            .filter_map(|l| l.queue.peek_time())
             .map(|ts| ts.0)
             .min()
             .unwrap_or(u64::MAX);
@@ -199,11 +175,12 @@ impl<L: Lp> Simulation<L> {
         let migrations: Vec<Mailbox<Migration<L>>> =
             (0..n_threads).map(|_| Mailbox::new()).collect();
         let clocks: Vec<AtomicU64> = (0..n_threads).map(|_| AtomicU64::new(init_clock)).collect();
-        let raw_mins: Vec<AtomicU64> = queues
+        let raw_mins: Vec<AtomicU64> = lanes
             .iter_mut()
-            .map(|q| AtomicU64::new(q.peek_time().map(|ts| ts.0).unwrap_or(u64::MAX)))
+            .map(|l| AtomicU64::new(l.queue.peek_time().map(|ts| ts.0).unwrap_or(u64::MAX)))
             .collect();
-        let qlens: Vec<AtomicU64> = queues.iter().map(|q| AtomicU64::new(q.len() as u64)).collect();
+        let qlens: Vec<AtomicU64> =
+            lanes.iter().map(|l| AtomicU64::new(l.queue.len() as u64)).collect();
         let parked: Vec<AtomicBool> = (0..n_threads).map(|_| AtomicBool::new(false)).collect();
         // steal_req[v] = 0 (none) or thief_id + 1; steal_declines[t]
         // counts refusals addressed to thief t.
@@ -213,34 +190,6 @@ impl<L: Lp> Simulation<L> {
         let sent = AtomicU64::new(0);
         let received = AtomicU64::new(0);
         let done = AtomicBool::new(false);
-
-        let committed = AtomicU64::new(0);
-        let remote = AtomicU64::new(0);
-        let rounds = AtomicU64::new(0);
-        let end_clock = AtomicU64::new(0);
-        let steals_total = AtomicU64::new(0);
-        let stall_total = AtomicU64::new(0);
-        let lag_max = AtomicU64::new(0);
-        let queue_ops = AtomicU64::new(0);
-        let queue_max_len = AtomicU64::new(0);
-        let pool_high_water = AtomicU64::new(0);
-        let pool_recycled = AtomicU64::new(0);
-        let engine_lookahead = self.lookahead;
-        // Violation / model-panic protocols as in `crate::parallel`, minus
-        // the round-boundary rendezvous: each worker independently breaks
-        // when it observes a flag, and flag setters wake every parked peer.
-        let violated = AtomicBool::new(false);
-        let violation: Mutex<Option<String>> = Mutex::new(None);
-        let poisoned = AtomicBool::new(false);
-        let panic_payload: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-        let telem_on = self.telemetry.is_some();
-        let trace_run = self
-            .tracer
-            .as_ref()
-            .map(|tr| (std::sync::Arc::clone(tr), tr.open_run("conservative-async", n_threads)));
-        let timing = telem_on || trace_run.is_some();
-        let thread_records: Mutex<Vec<telemetry::ThreadRecord>> = Mutex::new(Vec::new());
-        let live_handles = crate::live::LiveHandles::from_sim(&self.live, n_threads);
 
         // Wakeup channels: worker t owns rx[t]; every worker holds a clone
         // of every tx.
@@ -252,49 +201,26 @@ impl<L: Lp> Simulation<L> {
             rxs.push(Some(rx));
         }
 
-        // Per-thread return slots: every hosted LP tagged with its global
-        // id (migration makes the home assignment insufficient), plus
-        // leftover events.
-        type ThreadResult<L, E> = (Vec<(u32, L, LpMeta)>, Vec<Envelope<E>>);
-        type ThreadSlot<L, E> = Mutex<Option<ThreadResult<L, E>>>;
-        let results: Vec<ThreadSlot<L, L::Event>> =
-            (0..n_threads).map(|_| Mutex::new(None)).collect();
-
         thread::scope(|scope| {
-            for t in 0..n_threads {
-                let mut lps = std::mem::take(&mut lps_by_thread[t]);
-                let mut metas = std::mem::take(&mut meta_by_thread[t]);
-                let mut queue = std::mem::replace(&mut queues[t], qkind.new_queue());
+            for (t, lane) in lanes.into_iter().enumerate() {
+                let Lane { gids: my_locals, lps, mut metas, mut queue } = lane;
+                let mut lps: Vec<Option<L>> = lps.into_iter().map(Some).collect();
                 let rx = rxs[t].take().expect("wake receiver");
                 let wake_tx: Vec<mpsc::Sender<()>> = txs.to_vec();
-                let my_locals = &assignment.locals[t];
-                let (mailboxes, migrations) = (&mailboxes, &migrations);
+                let (run, mailboxes, migrations) = (&run, &mailboxes, &migrations);
                 let (clocks, raw_mins, qlens, parked) = (&clocks, &raw_mins, &qlens, &parked);
                 let (steal_req, steal_declines, active_victim) =
                     (&steal_req, &steal_declines, &active_victim);
                 let (sent, received, done) = (&sent, &received, &done);
-                let (committed, remote, rounds, end_clock) =
-                    (&committed, &remote, &rounds, &end_clock);
-                let (steals_total, stall_total, lag_max) = (&steals_total, &stall_total, &lag_max);
-                let (queue_ops, queue_max_len) = (&queue_ops, &queue_max_len);
-                let (pool_high_water, pool_recycled) = (&pool_high_water, &pool_recycled);
-                let (violated, violation) = (&violated, &violation);
-                let (poisoned, panic_payload) = (&poisoned, &panic_payload);
-                let results = &results;
-                let thread_records = &thread_records;
-                let trace_run = &trace_run;
-                let live_handles = &live_handles;
                 scope.spawn(move || {
                     let leader = t == 0;
-                    let mut tbuf = trace_run.as_ref().map(|(tr, run)| tr.buf(*run, t as u32));
-                    let mut tap = live_handles.as_ref().map(|h| h.tap(t));
-                    let mut live_flushed = (0u64, 0u64); // (committed, remote)
-                                                         // Dekker wake: the parker stores its flag and then
-                                                         // re-checks; we make our change, then swap the flag —
-                                                         // whichever side acted second sees the other.
-                                                         // The load before the swap keeps the running-peer case
-                                                         // (flag clear) free of an RMW; the handshake only needs
-                                                         // the swap when the flag reads set.
+                    let mut w = run.worker(t);
+                    // Dekker wake: the parker stores its flag and then
+                    // re-checks; we make our change, then swap the flag —
+                    // whichever side acted second sees the other. The load
+                    // before the swap keeps the running-peer case (flag
+                    // clear) free of an RMW; the handshake only needs the
+                    // swap when the flag reads set.
                     let wake = |k: usize| {
                         if parked[k].load(Ordering::SeqCst)
                             && parked[k].swap(false, Ordering::SeqCst)
@@ -302,16 +228,7 @@ impl<L: Lp> Simulation<L> {
                             let _ = wake_tx[k].send(());
                         }
                     };
-                    let wake_all = |me: usize| {
-                        for k in 0..n_threads {
-                            if k != me
-                                && parked[k].load(Ordering::SeqCst)
-                                && parked[k].swap(false, Ordering::SeqCst)
-                            {
-                                let _ = wake_tx[k].send(());
-                            }
-                        }
-                    };
+                    let wake_all = |me: usize| (0..n_threads).filter(|&k| k != me).for_each(wake);
                     let mut inbox: Vec<Vec<Envelope<L::Event>>> = Vec::new();
                     let mut mig_inbox: Vec<Migration<L>> = Vec::new();
                     let mut chunks: Vec<Vec<Envelope<L::Event>>> =
@@ -328,7 +245,6 @@ impl<L: Lp> Simulation<L> {
                     // reach its own park.
                     let mut owed_wake: Vec<bool> = vec![false; n_threads];
                     let mut spare_chunks: Vec<Vec<Envelope<L::Event>>> = Vec::new();
-                    let mut out: Vec<Outgoing<L::Event>> = Vec::with_capacity(8);
                     // Forwards that outran their migration batch wait here
                     // until the block they belong to is installed.
                     let mut stash: Vec<Envelope<L::Event>> = Vec::new();
@@ -361,24 +277,13 @@ impl<L: Lp> Simulation<L> {
                     // skip the SeqCst store on idle iterations.
                     let mut last_raw = raw_mins[t].load(Ordering::SeqCst);
                     let mut last_qlen = qlens[t].load(Ordering::SeqCst);
-                    let mut local_committed = 0u64;
-                    let mut local_remote = 0u64;
-                    let mut local_iters = 0u64;
-                    let mut local_clock = 0u64;
-                    let mut busy_ns = 0u64;
-                    let mut stall_ns = 0u64;
-                    let mut local_lag = 0u64;
-                    let mut mailbox_hw = 0u64;
                     let mut idle_spins = 0u32;
                     let idle_spins_max = idle_spin_budget();
                     'outer: loop {
-                        if done.load(Ordering::SeqCst)
-                            || violated.load(Ordering::SeqCst)
-                            || poisoned.load(Ordering::SeqCst)
-                        {
+                        if done.load(Ordering::SeqCst) || run.halted() {
                             break;
                         }
-                        local_iters += 1;
+                        w.report.rounds += 1;
                         let mut progressed = false;
 
                         // (1) Processing bound: min over peer horizons.
@@ -418,7 +323,7 @@ impl<L: Lp> Simulation<L> {
                                 if !away.is_empty() {
                                     if let Some(&thief) = away.get(&env.dst) {
                                         sent.fetch_add(1, Ordering::SeqCst);
-                                        local_remote += 1;
+                                        w.report.remote += 1;
                                         let c = &mut chunks[thief];
                                         c.push(env);
                                         if c.len() >= MAILBOX_CHUNK {
@@ -449,7 +354,7 @@ impl<L: Lp> Simulation<L> {
                             raw_mins[t].fetch_min(arr_min, Ordering::SeqCst);
                             last_raw = last_raw.min(arr_min);
                         }
-                        mailbox_hw = mailbox_hw.max(drained);
+                        w.drained(drained);
                         if drained > 0 {
                             received.fetch_add(drained, Ordering::SeqCst);
                             progressed = true;
@@ -526,11 +431,7 @@ impl<L: Lp> Simulation<L> {
                                 }
                             }
                         }
-                        let mut h_eff = queue
-                            .peek_time()
-                            .map(|ts| ts.0)
-                            .unwrap_or(u64::MAX)
-                            .min(stash.iter().map(|e| e.recv_time.0).min().unwrap_or(u64::MAX));
+                        let mut h_eff = head_time(&mut queue, &stash);
                         if migrate_pending {
                             // Handoff invariants (see module docs): peers
                             // caught up to the frozen publish, and the
@@ -578,10 +479,7 @@ impl<L: Lp> Simulation<L> {
                                 if n_ev > 0 {
                                     sent.fetch_add(n_ev, Ordering::SeqCst);
                                 }
-                                steals_total.fetch_add(gids.len() as u64, Ordering::SeqCst);
-                                if let Some(tp) = tap.as_mut() {
-                                    tp.steal(gids.len() as u64);
-                                }
+                                w.report.steals += gids.len() as u64;
                                 migrations[thief].push(Migration {
                                     gids,
                                     lps: mlps,
@@ -615,7 +513,7 @@ impl<L: Lp> Simulation<L> {
                             .map(|ts| ts.0 < bound && ts <= until)
                             .unwrap_or(false);
                         if processable {
-                            let t0 = timing.then(std::time::Instant::now);
+                            let t0 = w.clock();
                             // The burst loop, once per specialization: with
                             // `$mig = false` every hosted/away lookup folds
                             // away, which is worth ~45 ns/event on PHOLD.
@@ -624,122 +522,75 @@ impl<L: Lp> Simulation<L> {
                             // choice holds for the whole burst.
                             macro_rules! burst {
                                 ($mig:literal) => {
-                                while let Some(top) = queue.peek() {
-                                    if top.recv_time.0 >= bound || top.recv_time > until {
-                                        break;
-                                    }
-                                    let env = queue.pop().unwrap();
-                                    local_clock = local_clock.max(env.recv_time.0);
-                                    let gid = env.dst as usize;
-                                    let hosted_xi: Option<usize> = if $mig {
-                                        hosted.get(&env.dst).copied()
-                                    } else {
-                                        None
-                                    };
-                                    let (slot, meta) = match hosted_xi {
-                                        Some(xi) => (&mut xlps[xi], &mut xmetas[xi]),
-                                        None => {
-                                            let li = local_of[gid] as usize;
-                                            (&mut lps[li], &mut metas[li])
+                                    while let Some(top) = queue.peek() {
+                                        if top.recv_time.0 >= bound || top.recv_time > until {
+                                            break;
                                         }
-                                    };
-                                    // Hard check (not debug): an arrival in
-                                    // this LP's past means the lookahead
-                                    // exceeded the model's true minimum
-                                    // send delay.
-                                    if env.recv_time < meta.now {
-                                        let mut v = violation.lock();
-                                        if v.is_none() {
-                                            *v = Some(format!(
-                                                "lookahead violation: event for LP {} at {} ns \
-                                                 arrived after the LP reached {} ns; lookahead \
-                                                 {} ns exceeds the model's minimum send delay",
-                                                env.dst, env.recv_time.0, meta.now.0, la,
-                                            ));
-                                        }
-                                        violated.store(true, Ordering::SeqCst);
-                                        queue.push(env);
-                                        wake_all(t);
-                                        break;
-                                    }
-                                    meta.now = env.recv_time;
-                                    meta.processed += 1;
-                                    let lp = slot.as_mut().expect("resident LP state");
-                                    let trace = tbuf.as_mut().map(|b| {
-                                        (lp.trace_kind(&env), b.event_start(), meta.uid_seq)
-                                    });
-                                    let mut ctx = Ctx {
-                                        now: env.recv_time,
-                                        me: env.dst,
-                                        lookahead: engine_lookahead,
-                                        out: &mut out,
-                                    };
-                                    lp.handle(&env, &mut ctx);
-                                    local_committed += 1;
-                                    seal_outgoing(env.dst, env.recv_time, meta, &mut out, |new| {
-                                        let o = owner_of[new.dst as usize] as usize;
-                                        let dest = if $mig {
-                                            if o == t {
-                                                match away.get(&new.dst) {
-                                                    None => {
-                                                        queue.push(new);
-                                                        return;
+                                        let env = queue.pop().unwrap();
+                                        let hosted_xi: Option<usize> =
+                                            if $mig { hosted.get(&env.dst).copied() } else { None };
+                                        let (slot, meta) = match hosted_xi {
+                                            Some(xi) => (&mut xlps[xi], &mut xmetas[xi]),
+                                            None => {
+                                                let li = local_of[env.dst as usize] as usize;
+                                                (&mut lps[li], &mut metas[li])
+                                            }
+                                        };
+                                        let lp = slot.as_mut().expect("resident LP state");
+                                        let stepped = w.step(lp, meta, env, |new| {
+                                            let o = owner_of[new.dst as usize] as usize;
+                                            let dest = if $mig {
+                                                if o == t {
+                                                    match away.get(&new.dst) {
+                                                        None => {
+                                                            queue.push(new);
+                                                            return Hop::Local;
+                                                        }
+                                                        Some(&thief) => thief,
                                                     }
-                                                    Some(&thief) => thief,
+                                                } else if hosted.contains_key(&new.dst) {
+                                                    queue.push(new);
+                                                    return Hop::Local;
+                                                } else {
+                                                    o
                                                 }
-                                            } else if hosted.contains_key(&new.dst) {
+                                            } else if o == t {
                                                 queue.push(new);
-                                                return;
+                                                return Hop::Local;
                                             } else {
                                                 o
+                                            };
+                                            s_pending += 1;
+                                            let c = &mut chunks[dest];
+                                            c.push(new);
+                                            if c.len() >= MAILBOX_CHUNK {
+                                                sent.fetch_add(s_pending, Ordering::SeqCst);
+                                                s_pending = 0;
+                                                let full = std::mem::replace(
+                                                    c,
+                                                    spare_chunks.pop().unwrap_or_default(),
+                                                );
+                                                mailboxes[dest].push(full);
+                                                owed_wake[dest] = true;
                                             }
-                                        } else if o == t {
-                                            queue.push(new);
-                                            return;
-                                        } else {
-                                            o
-                                        };
-                                        local_remote += 1;
-                                        s_pending += 1;
-                                        let c = &mut chunks[dest];
-                                        c.push(new);
-                                        if c.len() >= MAILBOX_CHUNK {
-                                            sent.fetch_add(s_pending, Ordering::SeqCst);
-                                            s_pending = 0;
-                                            let full = std::mem::replace(
-                                                c,
-                                                spare_chunks.pop().unwrap_or_default(),
-                                            );
-                                            mailboxes[dest].push(full);
-                                            owed_wake[dest] = true;
+                                            Hop::Remote
+                                        });
+                                        if let Err(env) = stepped {
+                                            queue.push(env);
+                                            wake_all(t);
+                                            break;
                                         }
-                                    });
-                                    if let (Some(b), Some((kind, t0, uid_lo))) =
-                                        (tbuf.as_mut(), trace)
-                                    {
-                                        let uid_seq = match hosted_xi {
-                                            Some(xi) => xmetas[xi].uid_seq,
-                                            None => metas[local_of[gid] as usize].uid_seq,
-                                        };
-                                        let children = (uid_seq - uid_lo) as u32;
-                                        b.record(&env, uid_lo, children, kind, t0);
                                     }
-                                }
                                 };
                             }
-                            let step = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                            let panicked = run.catch(|| {
                                 if hosted.is_empty() && away.is_empty() {
                                     burst!(false)
                                 } else {
                                     burst!(true)
                                 }
-                            }));
-                            if let Err(payload) = step {
-                                let mut slot = panic_payload.lock();
-                                if slot.is_none() {
-                                    *slot = Some(payload);
-                                }
-                                poisoned.store(true, Ordering::SeqCst);
+                            });
+                            if panicked {
                                 wake_all(t);
                             }
                             // Settle the burst's S before the step-7 flush
@@ -749,9 +600,7 @@ impl<L: Lp> Simulation<L> {
                                 sent.fetch_add(s_pending, Ordering::SeqCst);
                                 s_pending = 0;
                             }
-                            if let Some(t0) = t0 {
-                                busy_ns += t0.elapsed().as_nanos() as u64;
-                            }
+                            w.busy(t0);
                             progressed = true;
                         }
 
@@ -779,11 +628,8 @@ impl<L: Lp> Simulation<L> {
                         // the checked build asserts (the monotonicity
                         // oracle).
                         if !migrate_pending {
-                            let h2 =
-                                queue.peek_time().map(|ts| ts.0).unwrap_or(u64::MAX).min(
-                                    stash.iter().map(|e| e.recv_time.0).min().unwrap_or(u64::MAX),
-                                );
-                            let mut val = h2.min(bound).saturating_add(la);
+                            let mut val =
+                                head_time(&mut queue, &stash).min(bound).saturating_add(la);
                             if !away.is_empty() {
                                 val = val.min(bound);
                             }
@@ -821,20 +667,18 @@ impl<L: Lp> Simulation<L> {
                                 wake(o);
                             }
                         }
-                        local_lag = local_lag.max(peer_max.saturating_sub(published));
+                        w.report.lag = w.report.lag.max(peer_max.saturating_sub(published));
 
                         // Live flush: barrier-free, so cadence is committed
                         // volume rather than rounds. One branch per outer
                         // iteration when detached.
-                        if let Some(tp) = tap.as_mut() {
-                            if local_committed - live_flushed.0 >= crate::live::FLUSH_EVERY {
-                                tp.commit(local_committed - live_flushed.0);
-                                tp.remote(local_remote - live_flushed.1);
-                                live_flushed = (local_committed, local_remote);
+                        if w.tap.is_some() && w.unflushed_committed() >= crate::live::FLUSH_EVERY {
+                            let lag = w.report.lag;
+                            if let Some(tp) = w.live() {
                                 if leader {
                                     tp.gvt(published.min(bound));
                                 }
-                                tp.lag(local_lag);
+                                tp.lag(lag);
                                 tp.queue_depth(queue.len() as u64);
                                 tp.flush();
                             }
@@ -910,11 +754,8 @@ impl<L: Lp> Simulation<L> {
                         // About to go quiet: flush whatever the volume
                         // cadence has not pushed yet, so a parked gang
                         // still exposes exact cumulative counts.
-                        if let Some(tp) = tap.as_mut() {
-                            if local_committed > live_flushed.0 || local_remote > live_flushed.1 {
-                                tp.commit(local_committed - live_flushed.0);
-                                tp.remote(local_remote - live_flushed.1);
-                                live_flushed = (local_committed, local_remote);
+                        if w.unflushed() {
+                            if let Some(tp) = w.live() {
                                 tp.queue_depth(queue.len() as u64);
                                 tp.flush();
                             }
@@ -943,8 +784,7 @@ impl<L: Lp> Simulation<L> {
                         // here instead would burn a core in production and
                         // give the model checker an unbounded path.
                         let wake_now = done.load(Ordering::SeqCst)
-                            || violated.load(Ordering::SeqCst)
-                            || poisoned.load(Ordering::SeqCst)
+                            || run.halted()
                             || mailboxes[t].has_mail()
                             || migrations[t].has_mail()
                             || b2 > bound
@@ -971,149 +811,41 @@ impl<L: Lp> Simulation<L> {
                             // timeout wake.
                             let _ = rx.recv_timeout(std::time::Duration::from_millis(10));
                         }
-                        stall_ns += t0.elapsed().as_nanos() as u64;
-                        if let Some(b) = tbuf.as_mut() {
-                            b.end_span(crate::trace::SpanKind::Barrier, t0);
-                        }
+                        w.stalled(t0);
                         parked[t].store(false, Ordering::SeqCst);
                         // Eat stale tokens so one park consumes one token
                         // in steady state; conditions are re-read at the
                         // loop top regardless.
                         while rx.try_recv().is_ok() {}
                     }
-                    if let Some(tp) = tap.as_mut() {
-                        tp.commit(local_committed - live_flushed.0);
-                        tp.remote(local_remote - live_flushed.1);
-                        tp.lag(local_lag);
-                        tp.pool_high_water(queue.pool_stats().high_water);
-                        tp.flush();
+                    if let Some(tp) = w.tap.as_ref() {
+                        tp.lag(w.report.lag);
                     }
-                    committed.fetch_add(local_committed, Ordering::SeqCst);
-                    remote.fetch_add(local_remote, Ordering::SeqCst);
-                    rounds.fetch_max(local_iters, Ordering::SeqCst);
-                    end_clock.fetch_max(local_clock, Ordering::SeqCst);
-                    stall_total.fetch_add(stall_ns, Ordering::SeqCst);
-                    lag_max.fetch_max(local_lag, Ordering::SeqCst);
-                    if let (Some((tr, _)), Some(b)) = (trace_run.as_ref(), tbuf) {
-                        tr.submit(b);
-                    }
-                    if telem_on {
-                        thread_records.lock().push(telemetry::ThreadRecord {
-                            thread: t,
-                            events: local_committed,
-                            busy_ns,
-                            blocked_ns: stall_ns,
-                            idle_ns: 0,
-                            mailbox_high_water: mailbox_hw,
-                        });
-                    }
-                    queue_ops.fetch_add(queue.ops(), Ordering::SeqCst);
-                    queue_max_len.fetch_max(queue.max_len(), Ordering::SeqCst);
-                    let ps = queue.pool_stats();
-                    pool_high_water.fetch_max(ps.high_water, Ordering::SeqCst);
-                    pool_recycled.fetch_add(ps.recycled, Ordering::SeqCst);
-                    let mut returned: Vec<(u32, L, LpMeta)> = Vec::new();
-                    for (li, &gid) in my_locals.iter().enumerate() {
-                        if let Some(lp) = lps[li].take() {
-                            returned.push((gid, lp, metas[li].clone()));
-                        }
-                    }
-                    for ((gid, lp), meta) in xgids.iter().zip(xlps).zip(xmetas) {
-                        if let Some(lp) = lp {
-                            returned.push((*gid, lp, meta));
-                        }
-                    }
-                    let mut leftover: Vec<Envelope<L::Event>> = Vec::new();
-                    queue.drain_to(&mut leftover);
-                    leftover.append(&mut stash);
-                    *results[t].lock() = Some((returned, leftover));
+                    // Hand back every LP hosted here, tagged with its
+                    // global id (migration means this need not match the
+                    // home assignment), plus stashed forwards.
+                    let homes = my_locals.into_iter().zip(lps).zip(metas);
+                    let guests = xgids.into_iter().zip(xlps).zip(xmetas);
+                    let ((gids, lps), metas) = homes
+                        .chain(guests)
+                        .filter_map(|((gid, lp), meta)| Some(((gid, lp?), meta)))
+                        .unzip();
+                    run.retire(w, Lane { gids, lps, metas, queue }, stash);
                 });
             }
         });
 
-        if let Some(payload) = panic_payload.lock().take() {
-            std::panic::resume_unwind(payload);
-        }
-
-        // Reassemble LP state by global id (migration means a worker's
-        // return set need not match its home assignment) and reabsorb
-        // unprocessed events for a later run leg.
-        let mut lp_slots: Vec<Option<L>> = (0..n_lps).map(|_| None).collect();
-        let mut meta_slots: Vec<Option<LpMeta>> = (0..n_lps).map(|_| None).collect();
-        for slot in results.iter() {
-            let (returned, leftover) =
-                slot.lock().take().expect("worker thread did not report results");
-            for (gid, lp, meta) in returned {
-                assert!(lp_slots[gid as usize].is_none(), "LP {gid} returned twice");
-                lp_slots[gid as usize] = Some(lp);
-                meta_slots[gid as usize] = Some(meta);
-            }
-            for env in leftover {
-                self.pending.push(env);
-            }
-        }
         // Undrained chunks / migration batches (violation or panic
         // shutdown): reabsorb defensively.
-        let mut stray: Vec<Vec<Envelope<L::Event>>> = Vec::new();
-        for mb in &mailboxes {
-            mb.drain_into(&mut stray);
-        }
-        for chunk in stray {
-            for env in chunk {
-                self.pending.push(env);
+        let mut stray = Mailbox::drain_all(&mailboxes);
+        for m in Mailbox::drain_all(&migrations) {
+            for ((gid, lp), meta) in m.gids.into_iter().zip(m.lps).zip(m.metas) {
+                slots.put(gid, lp, meta);
             }
+            stray.push(m.events);
         }
-        let mut stray_migs: Vec<Migration<L>> = Vec::new();
-        for mb in &migrations {
-            mb.drain_into(&mut stray_migs);
-        }
-        for m in stray_migs {
-            for ((gid, lp), meta) in m.gids.iter().zip(m.lps).zip(m.metas) {
-                lp_slots[*gid as usize] = Some(lp);
-                meta_slots[*gid as usize] = Some(meta);
-            }
-            for env in m.events {
-                self.pending.push(env);
-            }
-        }
-        self.lps = lp_slots.into_iter().map(|s| s.expect("missing LP")).collect();
-        self.meta = meta_slots.into_iter().map(|s| s.expect("missing meta")).collect();
-        if let Some(msg) = violation.lock().take() {
-            panic!("{msg}");
-        }
-
-        let stats = RunStats {
-            committed: committed.load(Ordering::SeqCst),
-            remote_events: remote.load(Ordering::SeqCst),
-            rounds: rounds.load(Ordering::SeqCst),
-            steals: steals_total.load(Ordering::SeqCst),
-            horizon_stall_ns: stall_total.load(Ordering::SeqCst),
-            horizon_lag_max: lag_max.load(Ordering::SeqCst),
-            end_time: SimTime(end_clock.load(Ordering::SeqCst)),
-            wall_seconds: start.elapsed().as_secs_f64(),
-            ..Default::default()
-        };
-        if let Some((tr, run)) = trace_run {
-            tr.close_run(run, (stats.wall_seconds * 1e9) as u64, stats.end_time.as_ns());
-        }
-        crate::engine::emit_sched_telemetry(
-            self.telemetry.as_deref(),
-            "conservative-async",
-            n_threads,
-            &stats,
-            0,
-            QueueTelemetry {
-                kind: qkind,
-                ops: queue_ops.load(Ordering::SeqCst),
-                max_len: queue_max_len.load(Ordering::SeqCst),
-                pool: crate::pool::PoolStats {
-                    high_water: pool_high_water.load(Ordering::SeqCst),
-                    recycled: pool_recycled.load(Ordering::SeqCst),
-                },
-            },
-            thread_records.into_inner(),
-        );
-        stats
+        let reports = run.reassemble(self, slots, stray.into_iter().flatten());
+        run.fold(self, reports)
     }
 }
 
@@ -1125,7 +857,7 @@ impl<L: Lp> Simulation<L> {
 mod tests {
     use super::*;
     use crate::queue::QueueKind;
-    use crate::Scheduler;
+    use crate::{Ctx, Partition, Scheduler};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 

@@ -1,4 +1,4 @@
-//! The `Simulation` container shared by all three schedulers.
+//! The `Simulation` container shared by every scheduler.
 
 use crate::event::{Envelope, EventUid, LpId};
 use crate::lp::{Ctx, Lp, LpMeta, Outgoing};
@@ -23,8 +23,8 @@ pub struct RunStats {
     /// Rollbacks that restored from the GVT-fence snapshot because every
     /// younger snapshot had been undone (optimistic scheduler only).
     pub fence_restores: u64,
-    /// Events delivered across partitions through mailboxes
-    /// (conservative-parallel scheduler only).
+    /// Events delivered across worker partitions through mailboxes
+    /// (conservative-parallel, conservative-async and sharded runs).
     pub remote_events: u64,
     /// Events delivered across OS-process shards through a transport
     /// ([`crate::shard`] runs only).
@@ -70,9 +70,12 @@ impl RunStats {
 /// A discrete-event simulation: a set of LPs plus pending events.
 ///
 /// Construct with [`Simulation::new`], inject initial events with
-/// [`Simulation::schedule`], then drive it with one of
-/// `run_sequential`, [`crate::conservative::run_conservative`] (via the
-/// inherent method) or [`crate::optimistic::run_optimistic`].
+/// [`Simulation::schedule`], then drive it with one of the schedulers:
+/// [`Simulation::run_sequential`],
+/// [`Simulation::run_conservative_parallel`],
+/// [`Simulation::run_conservative_async`] or
+/// [`Simulation::run_optimistic`] — or uniformly through
+/// [`crate::Scheduler::run`].
 pub struct Simulation<L: Lp> {
     pub(crate) lps: Vec<L>,
     pub(crate) meta: Vec<LpMeta>,

@@ -4,17 +4,23 @@
 //! simulation (PDES) engine, built as the substrate for the CODES network
 //! models and the Union workload manager in this workspace.
 //!
-//! Three schedulers over the same model code:
+//! Four schedulers over the same model code, plus a multi-process gang:
 //!
 //! * [`Simulation::run_sequential`] — single-threaded reference executor;
-//! * [`Simulation::run_conservative`] — YAWNS-style lookahead windows over
-//!   OS threads (ROSS's conservative mode used MPI ranks; see DESIGN.md
-//!   substitution #1);
+//! * [`Simulation::run_conservative_parallel`] — lookahead windows over OS
+//!   threads separated by barrier rounds (ROSS's conservative mode used
+//!   MPI ranks; see DESIGN.md substitution #1);
+//! * [`Simulation::run_conservative_async`] — the same lookahead promise
+//!   without barriers: workers publish safe horizons and steal LP blocks;
 //! * [`Simulation::run_optimistic`] — Time Warp with periodic state saving,
 //!   coast-forward rollback, anti-messages, barrier-synchronized GVT and
-//!   fossil collection.
+//!   fossil collection;
+//! * [`Simulation::run_sharded`] — the conservative rounds across OS
+//!   processes ([`shard`]).
 //!
-//! All three produce **bit-identical** model states: events are totally
+//! The three conservative ones share one worker core (LP split and
+//! reassembly, the per-event step, the end-of-run counter fold). All of
+//! them produce **bit-identical** model states: events are totally
 //! ordered by `(recv_time, send_time, src, tiebreak)` where the tiebreak
 //! counter is part of the rolled-back LP state. The pending-event set
 //! behind every scheduler is pluggable ([`queue`]): a reference binary
@@ -64,7 +70,6 @@
 //! ```
 
 mod asynchronous;
-mod conservative;
 mod engine;
 mod event;
 mod live;
@@ -79,6 +84,7 @@ pub mod shard;
 pub(crate) mod sync;
 mod time;
 pub mod trace;
+mod worker;
 
 pub use engine::{RunStats, Simulation};
 pub use event::{Envelope, EventKey, EventUid, LpId};
@@ -95,14 +101,9 @@ pub use trace::{SpanKind, TraceEvent, Tracer};
 pub enum Scheduler {
     /// Single-threaded reference executor.
     Sequential,
-    /// Conservative YAWNS windows on `n` threads (window = engine
-    /// lookahead, contiguous partitions, mutex mailboxes).
-    Conservative(usize),
-    /// Optimistic Time Warp on `n` threads.
-    Optimistic(usize),
-    /// Optimistic Time Warp on `threads` threads with explicit tuning
+    /// Optimistic Time Warp on `threads` threads, tuned by `config`
     /// (batch size and snapshot interval).
-    OptimisticWith { threads: usize, config: OptimisticConfig },
+    Optimistic { threads: usize, config: OptimisticConfig },
     /// Conservative windows of `lookahead` ns on `threads` workers, with
     /// topology-aware partitions and lock-free mailboxes — see
     /// [`Simulation::run_conservative_parallel`].
@@ -118,11 +119,7 @@ impl Scheduler {
     pub fn run<L: Lp + Clone>(self, sim: &mut Simulation<L>, until: SimTime) -> RunStats {
         match self {
             Scheduler::Sequential => sim.run_sequential(until),
-            Scheduler::Conservative(n) => sim.run_conservative(n, until),
-            Scheduler::Optimistic(n) => sim.run_optimistic(n, OptimisticConfig::default(), until),
-            Scheduler::OptimisticWith { threads, config } => {
-                sim.run_optimistic(threads, config, until)
-            }
+            Scheduler::Optimistic { threads, config } => sim.run_optimistic(threads, config, until),
             Scheduler::ConservativeParallel { threads, lookahead } => {
                 sim.run_conservative_parallel(threads, lookahead, until)
             }
@@ -199,20 +196,21 @@ mod tests {
         assert!(sa.committed > 1000, "PHOLD should generate work");
     }
 
+    // The multi-thread tests below run on the `crate::sync` seam; under
+    // `union_check` that seam is shimmed and must run inside
+    // `ross_check::model()` — the oracle harness covers these schedulers
+    // there (`tests/union_check_oracle.rs`, `par:2`, `async:2`, `opt:2`).
     #[test]
+    #[cfg(not(union_check))]
     fn conservative_matches_sequential() {
         let mut a = phold_sim(16, 7);
         let mut b = phold_sim(16, 7);
         let sa = a.run_sequential(SimTime::MAX);
-        let sb = b.run_conservative(4, SimTime::MAX);
+        let sb = b.run_conservative_parallel(4, SimDuration::from_ns(1), SimTime::MAX);
         assert_eq!(sa.committed, sb.committed);
         assert_eq!(fingerprint(&a), fingerprint(&b));
     }
 
-    // The optimistic tests below drive real multi-thread runs; under
-    // `union_check` the scheduler sits on the shimmed sync seam and must
-    // run inside `ross_check::model()` — the oracle harness covers it
-    // there (`tests/union_check_oracle.rs`, `opt:2`).
     #[test]
     #[cfg(not(union_check))]
     fn optimistic_matches_sequential() {
@@ -258,12 +256,13 @@ mod tests {
     }
 
     #[test]
+    #[cfg(not(union_check))]
     fn until_bound_pauses_and_resumes() {
         let mut a = phold_sim(8, 5);
         let mut b = phold_sim(8, 5);
         a.run_sequential(SimTime::MAX);
         // Run b in two legs split at 100us, with different schedulers.
-        b.run_conservative(2, SimTime::from_us(100));
+        b.run_conservative_parallel(2, SimDuration::from_ns(1), SimTime::from_us(100));
         assert!(b.pending_events() > 0);
         b.run_sequential(SimTime::MAX);
         assert_eq!(fingerprint(&a), fingerprint(&b));
@@ -272,7 +271,11 @@ mod tests {
     #[test]
     #[cfg(not(union_check))]
     fn scheduler_enum_dispatches() {
-        for sched in [Scheduler::Sequential, Scheduler::Conservative(2), Scheduler::Optimistic(2)] {
+        for sched in [
+            Scheduler::Sequential,
+            Scheduler::ConservativeParallel { threads: 2, lookahead: SimDuration::from_ns(1) },
+            Scheduler::Optimistic { threads: 2, config: OptimisticConfig::default() },
+        ] {
             let mut sim = phold_sim(4, 11);
             let stats = sched.run(&mut sim, SimTime::MAX);
             assert!(stats.committed > 0);

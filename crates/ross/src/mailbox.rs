@@ -86,6 +86,15 @@ impl<T> Mailbox<T> {
         !self.head.load(Ordering::SeqCst).is_null()
     }
 
+    /// Take every item left in any of `boxes` (stray mail after a run).
+    pub(crate) fn drain_all(boxes: &[Mailbox<T>]) -> Vec<T> {
+        let mut out = Vec::new();
+        for b in boxes {
+            b.drain_into(&mut out);
+        }
+        out
+    }
+
     /// Take every item currently in the mailbox. Intended for the owning
     /// consumer at a synchronization point; concurrent pushes that lose
     /// the race simply land in the next drain.

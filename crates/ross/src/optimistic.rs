@@ -16,7 +16,6 @@
 //! regenerate identical event keys and the committed schedule is
 //! bit-identical to the sequential one.
 
-use crate::conservative::{owner, partition};
 use crate::engine::{seal_outgoing, QueueTelemetry, RunStats, Simulation};
 use crate::event::{Envelope, EventKey, EventUid};
 use crate::lp::{Ctx, Lp, LpMeta, Outgoing};
@@ -25,7 +24,33 @@ use crate::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use crate::sync::{thread, Barrier, Mutex};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{SpanKind, TraceBuf};
+use crate::worker;
 use std::collections::{HashSet, VecDeque};
+
+/// Partition LPs into `n` contiguous ranges of near-equal size.
+fn partition(n_lps: usize, n_threads: usize) -> Vec<std::ops::Range<usize>> {
+    let n_threads = n_threads.max(1).min(n_lps.max(1));
+    let base = n_lps / n_threads;
+    let extra = n_lps % n_threads;
+    let mut ranges = Vec::with_capacity(n_threads);
+    let mut start = 0;
+    for t in 0..n_threads {
+        let len = base + usize::from(t < extra);
+        ranges.push(start..start + len);
+        start += len;
+    }
+    ranges
+}
+
+/// Map an LP id to its owning thread given the partition.
+#[inline]
+fn owner(ranges: &[std::ops::Range<usize>], lp: usize) -> usize {
+    // Ranges are contiguous and sorted: the owner is the first range
+    // ending past `lp`.
+    let t = ranges.partition_point(|r| r.end <= lp);
+    debug_assert!(t < ranges.len(), "LP {lp} outside all partitions");
+    t
+}
 
 /// Tuning knobs for the optimistic scheduler.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -268,13 +293,10 @@ impl<L: Lp + Clone> Simulation<L> {
         }
 
         let qkind = self.queue;
-        let mut queues: Vec<PendingQueue<L::Event>> =
-            (0..n_threads).map(|_| qkind.new_queue()).collect();
-        let mut scratch0 = Vec::with_capacity(self.pending.len());
-        self.pending.drain_to(&mut scratch0);
-        for env in scratch0.drain(..) {
-            queues[owner(&ranges, env.dst as usize)].push(env);
-        }
+        let owner_of: Vec<u32> = (0..n_lps).map(|lp| owner(&ranges, lp) as u32).collect();
+        let locals: Vec<Vec<u32>> =
+            ranges.iter().map(|r| (r.start as u32..r.end as u32).collect()).collect();
+        let (lanes, mut slots) = worker::split(self, &locals, &owner_of);
 
         let mailboxes: Vec<Mutex<Vec<Msg<L::Event>>>> =
             (0..n_threads).map(|_| Mutex::new(Vec::new())).collect();
@@ -298,42 +320,32 @@ impl<L: Lp + Clone> Simulation<L> {
         let thread_records: Mutex<Vec<telemetry::ThreadRecord>> = Mutex::new(Vec::new());
         let live_handles = crate::live::LiveHandles::from_sim(&self.live, n_threads);
 
-        // Move LP state into per-thread runtimes.
-        let mut rts_per_thread: Vec<Vec<LpRt<L>>> = Vec::with_capacity(n_threads);
-        {
-            let mut lps: VecDeque<L> = std::mem::take(&mut self.lps).into();
-            let mut metas: VecDeque<LpMeta> = std::mem::take(&mut self.meta).into();
-            for r in &ranges {
-                let mut v = Vec::with_capacity(r.len());
-                for _ in r.clone() {
-                    let lp = lps.pop_front().unwrap();
-                    let meta = metas.pop_front().unwrap();
-                    // The initial fence captures the pre-run state —
-                    // including the tiebreak already advanced by any
-                    // `schedule()` calls — so a rollback to index 0
-                    // regenerates identical event keys.
-                    let fence =
-                        Snapshot { at: 0, lp: lp.clone(), tiebreak: meta.tiebreak, now: meta.now };
-                    v.push(LpRt {
-                        lp,
-                        meta,
-                        processed: VecDeque::new(),
-                        snapshots: VecDeque::new(),
-                        fence,
-                        base: 0,
-                    });
-                }
-                rts_per_thread.push(v);
-            }
-        }
-
         let outcomes: Vec<Mutex<Option<ThreadOutcome<L>>>> =
             (0..n_threads).map(|_| Mutex::new(None)).collect();
 
         thread::scope(|scope| {
-            for (t, mut rts) in rts_per_thread.into_iter().enumerate() {
-                let mut queue = std::mem::replace(&mut queues[t], qkind.new_queue());
-                let ranges = &ranges;
+            for (t, lane) in lanes.into_iter().enumerate() {
+                let mut queue = lane.queue;
+                // Per-LP runtimes. The initial fence captures the pre-run
+                // state — including the tiebreak already advanced by any
+                // `schedule()` calls — so a rollback to index 0
+                // regenerates identical event keys.
+                let mut rts: Vec<LpRt<L>> = (lane.lps.into_iter().zip(lane.metas))
+                    .map(|(lp, meta)| LpRt {
+                        fence: Snapshot {
+                            at: 0,
+                            lp: lp.clone(),
+                            tiebreak: meta.tiebreak,
+                            now: meta.now,
+                        },
+                        lp,
+                        meta,
+                        processed: VecDeque::new(),
+                        snapshots: VecDeque::new(),
+                        base: 0,
+                    })
+                    .collect();
+                let (ranges, owner_of) = (&ranges, &owner_of);
                 let mailboxes = &mailboxes;
                 let in_flight = &in_flight;
                 let busy_threads = &busy_threads;
@@ -366,7 +378,7 @@ impl<L: Lp + Clone> Simulation<L> {
                     // mailbox (counted in `in_flight`); local destinations
                     // are queued for direct ingestion.
                     let post = |m: Msg<L::Event>, locals: &mut VecDeque<Msg<L::Event>>| {
-                        let o = owner(ranges, m.dst());
+                        let o = owner_of[m.dst()] as usize;
                         if o == t {
                             locals.push_back(m);
                         } else {
@@ -695,8 +707,6 @@ impl<L: Lp + Clone> Simulation<L> {
         });
 
         // Reassemble LP state and leftover events.
-        let mut lps: Vec<Option<L>> = (0..n_lps).map(|_| None).collect();
-        let mut metas: Vec<LpMeta> = (0..n_lps).map(|_| LpMeta::new()).collect();
         let mut stats = RunStats::default();
         let mut speculative = 0u64;
         let mut max_gvt_lag = 0u64;
@@ -704,8 +714,7 @@ impl<L: Lp + Clone> Simulation<L> {
         for oc in &outcomes {
             if let Some(oc) = oc.lock().take() {
                 for (i, lp, meta) in oc.lps {
-                    lps[i] = Some(lp);
-                    metas[i] = meta;
+                    slots.put(i as u32, lp, meta);
                 }
                 for env in oc.leftover {
                     self.pending.push(env);
@@ -724,8 +733,7 @@ impl<L: Lp + Clone> Simulation<L> {
                 max_gvt_lag = max_gvt_lag.max(oc.stats.gvt_lag_max);
             }
         }
-        self.lps = lps.into_iter().map(|o| o.expect("missing LP after run")).collect();
-        self.meta = metas;
+        slots.restore(self);
 
         // `meta.processed` counts speculative executions (including
         // re-executions); committed work is the difference.
@@ -744,5 +752,25 @@ impl<L: Lp + Clone> Simulation<L> {
             thread_records.into_inner(),
         );
         stats
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn partition_covers_everything() {
+        for (n_lps, n_threads) in [(10, 3), (1, 4), (8, 8), (100, 7), (5, 1)] {
+            let ranges = partition(n_lps, n_threads);
+            let mut covered = 0;
+            for (i, r) in ranges.iter().enumerate() {
+                covered += r.len();
+                for lp in r.clone() {
+                    assert_eq!(owner(&ranges, lp), i);
+                }
+            }
+            assert_eq!(covered, n_lps);
+        }
     }
 }

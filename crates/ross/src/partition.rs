@@ -46,13 +46,19 @@ impl Partition {
     /// least-loaded thread (ties by ascending thread id). Deterministic
     /// by construction.
     pub(crate) fn assign(&self, n_threads: usize) -> Assignment {
-        let n_lps = self.block_of.len();
-        let n_threads = n_threads.max(1).min(n_lps.max(1));
+        let all: Vec<u32> = (0..self.block_of.len() as u32).collect();
+        self.assign_among(&all, n_threads)
+    }
+
+    /// [`Partition::assign`] over the LPs `gids` (ascending) only, e.g. the
+    /// ones a shard owns; every other LP gets owner `u32::MAX`.
+    pub(crate) fn assign_among(&self, gids: &[u32], n_threads: usize) -> Assignment {
+        let n_threads = n_threads.max(1).min(gids.len().max(1));
 
         // Collect distinct blocks and their loads.
         let mut blocks: Vec<(u32, u64)> = Vec::new();
         {
-            let mut sorted: Vec<u32> = self.block_of.clone();
+            let mut sorted: Vec<u32> = gids.iter().map(|&g| self.block_of[g as usize]).collect();
             sorted.sort_unstable();
             for b in sorted {
                 match blocks.last_mut() {
@@ -78,20 +84,17 @@ impl Partition {
         }
         block_owner.sort_unstable_by_key(|(b, _)| *b);
 
-        let owner_of: Vec<u32> = self
-            .block_of
-            .iter()
-            .map(|b| {
-                let i = block_owner.binary_search_by_key(b, |(id, _)| *id).unwrap();
-                block_owner[i].1
-            })
-            .collect();
-
+        let n_lps = self.block_of.len();
+        let mut owner_of = vec![u32::MAX; n_lps];
+        let mut local_of = vec![u32::MAX; n_lps];
         let mut locals: Vec<Vec<u32>> = vec![Vec::new(); n_threads];
-        let mut local_of = vec![0u32; n_lps];
-        for (gid, &t) in owner_of.iter().enumerate() {
-            local_of[gid] = locals[t as usize].len() as u32;
-            locals[t as usize].push(gid as u32);
+        for &gid in gids {
+            let b = self.block_of[gid as usize];
+            let i = block_owner.binary_search_by_key(&b, |(id, _)| *id).unwrap();
+            let t = block_owner[i].1;
+            owner_of[gid as usize] = t;
+            local_of[gid as usize] = locals[t as usize].len() as u32;
+            locals[t as usize].push(gid);
         }
 
         Assignment { owner_of, local_of, locals }
@@ -100,7 +103,8 @@ impl Partition {
 
 /// The result of packing a [`Partition`] onto a thread count.
 pub(crate) struct Assignment {
-    /// Owning thread of each LP (global id → thread).
+    /// Owning thread of each LP (global id → thread; `u32::MAX` for LPs
+    /// outside the assigned set).
     pub owner_of: Vec<u32>,
     /// Index of each LP within its thread's local vectors.
     pub local_of: Vec<u32>,

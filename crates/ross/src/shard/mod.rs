@@ -49,15 +49,16 @@ pub use transport::{
     loopback_mesh, EventCodec, Frame, LoopbackTransport, ShardTransport, TcpTransport, Token,
 };
 
-use crate::engine::{seal_outgoing, QueueTelemetry, RunStats, Simulation};
+use crate::engine::{RunStats, Simulation};
 use crate::event::Envelope;
-use crate::lp::{Ctx, Lp, LpMeta, Outgoing};
+use crate::lp::{Lp, LpMeta};
 use crate::mailbox::Mailbox;
 use crate::partition::Partition;
-use crate::queue::{EventQueue, PendingQueue};
+use crate::queue::EventQueue;
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use crate::sync::{thread, Barrier, Mutex};
 use crate::time::{SimDuration, SimTime};
+use crate::worker::{self, Hop, Run};
 use checkpoint::LpSnapshot;
 use std::fmt;
 use std::path::PathBuf;
@@ -147,10 +148,7 @@ impl<'a, L: Lp> ShardRun<'a, L> {
 /// partition blocks the in-process parallel scheduler uses, applied at
 /// the shard level. `partition = None` means every LP is its own block.
 pub fn shard_owner_map(partition: Option<&Partition>, n_lps: usize, n_shards: usize) -> Vec<u32> {
-    match partition {
-        Some(p) => p.assign(n_shards).owner_of,
-        None => Partition::per_lp(n_lps).assign(n_shards).owner_of,
-    }
+    worker::packing(partition, n_lps).assign(n_shards).owner_of
 }
 
 impl<L: Lp> Simulation<L> {
@@ -167,8 +165,9 @@ impl<L: Lp> Simulation<L> {
     /// each shard's simulation).
     ///
     /// Panics on a lookahead violation (same hard causality check as
-    /// [`Simulation::run_conservative_parallel`]); returns `Err` on
-    /// transport or checkpoint failures.
+    /// [`Simulation::run_conservative_parallel`]) or with the payload of a
+    /// panic in model code; returns `Err` on transport or checkpoint
+    /// failures.
     pub fn run_sharded(
         &mut self,
         transport: &mut dyn ShardTransport<L::Event>,
@@ -200,33 +199,14 @@ impl<L: Lp> Simulation<L> {
         let shard_of = shard_owner_map(self.partition.as_ref(), n_lps, n_shards);
         let owned: Vec<u32> =
             (0..n_lps as u32).filter(|&g| shard_of[g as usize] == me as u32).collect();
-        let n_threads = opts.threads.max(1).min(owned.len().max(1));
-        let sub_blocks: Vec<u32> = owned
-            .iter()
-            .map(|&g| match &self.partition {
-                Some(p) => p.block(g),
-                None => g,
-            })
-            .collect();
-        let tassign = Partition::from_blocks(sub_blocks).assign(n_threads);
-        // Flat per-gid routing tables (u32::MAX = not ours).
-        let mut worker_of = vec![u32::MAX; n_lps];
-        let mut wlocal_of = vec![u32::MAX; n_lps];
-        for (oi, &gid) in owned.iter().enumerate() {
-            worker_of[gid as usize] = tassign.owner_of[oi];
-            wlocal_of[gid as usize] = tassign.local_of[oi];
-        }
-        // Global ids per worker, in worker-local index order.
-        let wgids: Vec<Vec<u32>> = tassign
-            .locals
-            .iter()
-            .map(|ol| ol.iter().map(|&oi| owned[oi as usize]).collect())
-            .collect();
+        let wassign =
+            worker::packing(self.partition.as_ref(), n_lps).assign_among(&owned, opts.threads);
+        let (worker_of, wlocal_of) = (&wassign.owner_of, &wassign.local_of);
+        let n_threads = wassign.locals.len();
 
         // Restore: overwrite owned LP state/meta and replace pending
         // events with this shard's section of the cut.
         let mut committed_base = 0u64;
-        let mut initial: Vec<Envelope<L::Event>> = Vec::new();
         if let Some(path) = &opts.restore {
             let codec = opts.codec.unwrap();
             let bytes = checkpoint::read_file(path)?;
@@ -249,11 +229,6 @@ impl<L: Lp> Simulation<L> {
                 )));
             }
             committed_base = meta.committed;
-            // The pre-run initial events are part of the history the
-            // checkpoint already includes; drop them.
-            let mut scrap = Vec::new();
-            self.pending.drain_to(&mut scrap);
-            drop(scrap);
             let mine = raw_sections
                 .iter()
                 .map(|s| checkpoint::decode_section(s, codec.as_event_codec()))
@@ -280,44 +255,20 @@ impl<L: Lp> Simulation<L> {
                 let mut r = wire::ByteReader::new(&snap.state);
                 codec.load_lp(&mut self.lps[gid], &mut r)?;
             }
+            // The pre-run initial events are part of the history the
+            // checkpoint already includes; drop them.
+            self.pending = self.queue.new_queue();
             for env in mine.events {
-                if (env.dst as usize) < n_lps && worker_of[env.dst as usize] != u32::MAX {
-                    initial.push(env);
-                }
-            }
-        } else {
-            // Fresh start: every process built the full initial event
-            // set identically; keep only the owned destinations.
-            let mut scrap = Vec::with_capacity(self.pending.len());
-            self.pending.drain_to(&mut scrap);
-            for env in scrap {
-                if worker_of[env.dst as usize] != u32::MAX {
-                    initial.push(env);
-                }
+                self.pending.push(env);
             }
         }
 
-        // Move owned LP state into per-worker vectors; foreign LPs stay
-        // in their slots untouched.
-        let mut lp_slots: Vec<Option<L>> =
-            std::mem::take(&mut self.lps).into_iter().map(Some).collect();
-        let mut meta_slots: Vec<Option<LpMeta>> =
-            std::mem::take(&mut self.meta).into_iter().map(Some).collect();
-        let mut lps_by_worker: Vec<Vec<L>> = (0..n_threads).map(|_| Vec::new()).collect();
-        let mut meta_by_worker: Vec<Vec<LpMeta>> = (0..n_threads).map(|_| Vec::new()).collect();
-        for (w, gids) in wgids.iter().enumerate() {
-            for &gid in gids {
-                lps_by_worker[w].push(lp_slots[gid as usize].take().unwrap());
-                meta_by_worker[w].push(meta_slots[gid as usize].take().unwrap());
-            }
-        }
-
-        let qkind = self.queue;
-        let mut queues: Vec<PendingQueue<L::Event>> =
-            (0..n_threads).map(|_| qkind.new_queue()).collect();
-        for env in initial {
-            queues[worker_of[env.dst as usize] as usize].push(env);
-        }
+        // Move owned LP state and pending events into per-worker lanes
+        // (every process built the full initial event set identically;
+        // the split keeps only owned destinations). Foreign LPs stay in
+        // their slots untouched.
+        let run = Run::open(self, "sharded-conservative", n_threads, window, start, false);
+        let (lanes, slots) = worker::split(self, &wassign.locals, worker_of);
 
         // Shared round state.
         let mailboxes: Vec<Mailbox<Envelope<L::Event>>> =
@@ -329,37 +280,22 @@ impl<L: Lp> Simulation<L> {
         let wend_a = AtomicU64::new(0);
         let done_a = AtomicBool::new(false);
         let ckpt_a = AtomicBool::new(false);
+        // Read by the leader at every fence: the checkpoint metadata needs
+        // the committed count at the cut.
         let committed = AtomicU64::new(0);
-        let remote = AtomicU64::new(0);
-        let cross = AtomicU64::new(0);
-        let end_clock = AtomicU64::new(0);
-        let queue_ops = AtomicU64::new(0);
-        let queue_max_len = AtomicU64::new(0);
-        let pool_high_water = AtomicU64::new(0);
-        let pool_recycled = AtomicU64::new(0);
-        let violated = AtomicBool::new(false);
-        let violation: Mutex<Option<String>> = Mutex::new(None);
         // Oracle (checked builds): the leader publishes each fence's GVT
         // so workers can assert no event from its past is ever processed.
         // A plain std atomic on purpose — invisible to the controlled
         // scheduler; barrier (C) provides the ordering.
         #[cfg(union_check)]
         let gvt_oracle = std::sync::atomic::AtomicU64::new(0);
-        let lookahead = self.lookahead;
-        let telem_on = self.telemetry.is_some();
-        let thread_records: Mutex<Vec<telemetry::ThreadRecord>> = Mutex::new(Vec::new());
-        let live_handles = crate::live::LiveHandles::from_sim(&self.live, n_threads);
         let codec = opts.codec;
         let ckpt_on = opts.checkpoint.is_some();
 
-        // Per-worker return slots and checkpoint staging areas.
-        type WorkerSlot<L, E> = Mutex<Option<(Vec<L>, Vec<LpMeta>, Vec<Envelope<E>>)>>;
-        let results: Vec<WorkerSlot<L, L::Event>> =
-            (0..n_threads).map(|_| Mutex::new(None)).collect();
+        // Per-worker checkpoint staging areas.
         let ckpt_parts: Vec<CkptPart<L::Event>> =
             (0..n_threads).map(|_| Mutex::new(None)).collect();
 
-        let mut rounds = 0u64;
         let mut fence_err: Option<ShardError> = None;
         let mut next_ckpt =
             opts.checkpoint.as_ref().map(|c| c.every.as_ns().max(1)).unwrap_or(u64::MAX);
@@ -370,40 +306,15 @@ impl<L: Lp> Simulation<L> {
         }
 
         thread::scope(|scope| {
-            for t in 0..n_threads {
-                let mut lps = std::mem::take(&mut lps_by_worker[t]);
-                let mut metas = std::mem::take(&mut meta_by_worker[t]);
-                let mut queue = std::mem::replace(&mut queues[t], qkind.new_queue());
-                let gids = &wgids[t];
-                let worker_of = &worker_of;
-                let wlocal_of = &wlocal_of;
-                let shard_of = &shard_of;
-                let mailboxes = &mailboxes;
-                let outboxes = &outboxes;
-                let barrier = &barrier;
-                let mins = &mins;
-                let wend_a = &wend_a;
-                let done_a = &done_a;
-                let ckpt_a = &ckpt_a;
-                let committed = &committed;
-                let remote = &remote;
-                let cross = &cross;
-                let end_clock = &end_clock;
-                let queue_ops = &queue_ops;
-                let queue_max_len = &queue_max_len;
-                let pool_high_water = &pool_high_water;
-                let pool_recycled = &pool_recycled;
-                let results = &results;
-                let ckpt_parts = &ckpt_parts;
-                let violated = &violated;
-                let violation = &violation;
-                let thread_records = &thread_records;
-                let live_handles = &live_handles;
+            for (t, mut lane) in lanes.into_iter().enumerate() {
+                let (run, shard_of) = (&run, &shard_of);
+                let (mailboxes, outboxes, barrier, mins) = (&mailboxes, &outboxes, &barrier, &mins);
+                let (wend_a, done_a, ckpt_a) = (&wend_a, &done_a, &ckpt_a);
+                let (committed, ckpt_parts) = (&committed, &ckpt_parts);
                 #[cfg(union_check)]
                 let gvt_oracle = &gvt_oracle;
                 scope.spawn(move || {
-                    let mut tap = live_handles.as_ref().map(|h| h.tap(t));
-                    let mut live_flushed = (0u64, 0u64); // (remote, cross)
+                    let mut w = run.worker(t);
                     let mut inbox: Vec<Envelope<L::Event>> = Vec::new();
                     // Per-destination-shard chunk buffers: cross-shard
                     // sends take the outbox lock once per chunk, not once
@@ -412,55 +323,47 @@ impl<L: Lp> Simulation<L> {
                     // state).
                     let mut xchunks: Vec<Vec<Envelope<L::Event>>> =
                         (0..n_shards).map(|_| Vec::new()).collect();
-                    let mut out: Vec<Outgoing<L::Event>> = Vec::with_capacity(8);
-                    let mut local_committed = 0u64;
-                    let mut local_remote = 0u64;
-                    let mut local_cross = 0u64;
-                    let mut local_clock = 0u64;
-                    let mut busy_ns = 0u64;
-                    let mut blocked_ns = 0u64;
-                    let mut mailbox_hw = 0u64;
                     loop {
                         // (A) Round start. The previous window's
                         // intra-shard sends are all in mailboxes.
                         barrier.wait();
                         mailboxes[t].drain_into(&mut inbox);
-                        mailbox_hw = mailbox_hw.max(inbox.len() as u64);
+                        w.drained(inbox.len() as u64);
                         for env in inbox.drain(..) {
-                            queue.push(env);
+                            lane.queue.push(env);
                         }
-                        // Quiescent interval: the violation flag is only
-                        // ever written during processing, so every
+                        // Quiescent interval: violations and model panics
+                        // are only ever raised during processing, so every
                         // worker reads the same frozen value here (see
                         // crate::parallel for why this placement).
-                        let halted = violated.load(Ordering::Acquire);
-                        let local_min = queue.peek_time().map(|ts| ts.0).unwrap_or(u64::MAX);
+                        let halted = run.halted();
+                        let local_min = lane.queue.peek_time().map(|ts| ts.0).unwrap_or(u64::MAX);
                         mins[t].store(local_min, Ordering::Relaxed);
                         // (B) Leader flushes outboxes and runs the
                         // token fence while workers wait.
-                        let t0 = telem_on.then(std::time::Instant::now);
+                        let t0 = w.clock();
                         barrier.wait();
                         // (C) gvt/wend/done/ckpt published.
                         barrier.wait();
                         if let Some(t0) = t0 {
-                            blocked_ns += t0.elapsed().as_nanos() as u64;
+                            w.report.thread.blocked_ns += t0.elapsed().as_nanos() as u64;
                         }
                         // Cross-shard fence arrivals.
                         mailboxes[t].drain_into(&mut inbox);
-                        mailbox_hw = mailbox_hw.max(inbox.len() as u64);
+                        w.drained(inbox.len() as u64);
                         for env in inbox.drain(..) {
-                            queue.push(env);
+                            lane.queue.push(env);
                         }
                         if ckpt_a.load(Ordering::Acquire) {
                             // Serialize this worker's slice of the cut.
                             let codec = codec.unwrap();
-                            let mut lp_snaps = Vec::with_capacity(lps.len());
-                            for (li, lp) in lps.iter().enumerate() {
+                            let mut lp_snaps = Vec::with_capacity(lane.lps.len());
+                            for ((&gid, lp), m) in lane.gids.iter().zip(&lane.lps).zip(&lane.metas)
+                            {
                                 let mut state = Vec::new();
                                 codec.save_lp(lp, &mut state);
-                                let m = &metas[li];
                                 lp_snaps.push(LpSnapshot {
-                                    gid: gids[li],
+                                    gid,
                                     tiebreak: m.tiebreak,
                                     uid_seq: m.uid_seq,
                                     now_ns: m.now.0,
@@ -469,9 +372,9 @@ impl<L: Lp> Simulation<L> {
                                 });
                             }
                             let mut evs: Vec<Envelope<L::Event>> = Vec::new();
-                            queue.drain_to(&mut evs);
+                            lane.queue.drain_to(&mut evs);
                             for env in &evs {
-                                queue.push(env.clone());
+                                lane.queue.push(env.clone());
                             }
                             *ckpt_parts[t].lock() = Some((lp_snaps, evs));
                             barrier.wait(); // (C2) parts staged
@@ -480,85 +383,55 @@ impl<L: Lp> Simulation<L> {
                         if done_a.load(Ordering::Acquire) {
                             break;
                         }
+                        w.report.rounds += 1;
                         if halted {
                             continue; // wind down without processing
                         }
                         let wend = wend_a.load(Ordering::Acquire);
 
                         // Process local events in [gvt, wend).
-                        let t0 = telem_on.then(std::time::Instant::now);
-                        let mut window_committed = 0u64;
-                        while let Some(top) = queue.peek() {
-                            if top.recv_time.0 >= wend {
-                                break;
-                            }
-                            let env = queue.pop().unwrap();
-                            // Oracle (checked builds): the distributed
-                            // GVT is a true lower bound on every
-                            // processed event.
-                            #[cfg(union_check)]
-                            assert!(
-                                env.recv_time.0
-                                    >= gvt_oracle.load(std::sync::atomic::Ordering::Relaxed),
-                                "GVT oracle violated: processing event at {} ns below the \
-                                 fence GVT {} ns",
-                                env.recv_time.0,
-                                gvt_oracle.load(std::sync::atomic::Ordering::Relaxed)
-                            );
-                            local_clock = local_clock.max(env.recv_time.0);
-                            let li = wlocal_of[env.dst as usize] as usize;
-                            // Same hard causality check as the
-                            // in-process parallel scheduler.
-                            if env.recv_time < metas[li].now {
-                                let mut v = violation.lock();
-                                if v.is_none() {
-                                    *v = Some(format!(
-                                        "lookahead violation: event for LP {} at {} ns \
-                                         arrived after the LP reached {} ns; window {} ns \
-                                         exceeds the model's minimum send delay",
-                                        env.dst, env.recv_time.0, metas[li].now.0, window.0,
-                                    ));
+                        let t0 = w.clock();
+                        let before = w.report.committed;
+                        run.catch(|| {
+                            while let Some(top) = lane.queue.peek() {
+                                if top.recv_time.0 >= wend {
+                                    break;
                                 }
-                                violated.store(true, Ordering::Release);
-                                queue.push(env);
-                                break;
-                            }
-                            metas[li].now = env.recv_time;
-                            metas[li].processed += 1;
-                            let mut ctx =
-                                Ctx { now: env.recv_time, me: env.dst, lookahead, out: &mut out };
-                            lps[li].handle(&env, &mut ctx);
-                            local_committed += 1;
-                            window_committed += 1;
-                            seal_outgoing(
-                                env.dst,
-                                env.recv_time,
-                                &mut metas[li],
-                                &mut out,
-                                |new| {
-                                    let s = shard_of[new.dst as usize] as usize;
-                                    if s != me {
-                                        local_cross += 1;
-                                        let c = &mut xchunks[s];
-                                        c.push(new);
-                                        if c.len() >= crate::parallel::MAILBOX_CHUNK {
-                                            outboxes[s].lock().append(c);
+                                let env = lane.queue.pop().unwrap();
+                                #[cfg(union_check)]
+                                worker::assert_gvt_floor(
+                                    &env,
+                                    gvt_oracle.load(std::sync::atomic::Ordering::Relaxed),
+                                );
+                                let li = wlocal_of[env.dst as usize] as usize;
+                                let queue = &mut lane.queue;
+                                let stepped =
+                                    w.step(&mut lane.lps[li], &mut lane.metas[li], env, |new| {
+                                        let s = shard_of[new.dst as usize] as usize;
+                                        if s != me {
+                                            let c = &mut xchunks[s];
+                                            c.push(new);
+                                            if c.len() >= crate::parallel::MAILBOX_CHUNK {
+                                                outboxes[s].lock().append(c);
+                                            }
+                                            return Hop::Shard;
                                         }
-                                    } else {
-                                        let w = worker_of[new.dst as usize] as usize;
-                                        if w == t {
+                                        let wk = worker_of[new.dst as usize] as usize;
+                                        if wk == t {
                                             queue.push(new);
+                                            Hop::Local
                                         } else {
-                                            local_remote += 1;
-                                            mailboxes[w].push(new);
+                                            mailboxes[wk].push(new);
+                                            Hop::Remote
                                         }
-                                    }
-                                },
-                            );
-                        }
-                        if let Some(t0) = t0 {
-                            busy_ns += t0.elapsed().as_nanos() as u64;
-                        }
+                                    });
+                                if let Err(env) = stepped {
+                                    lane.queue.push(env);
+                                    break;
+                                }
+                            }
+                        });
+                        w.busy(t0);
                         // Flush partial cross-shard chunks: the leader
                         // reads the outboxes after barrier (B) of the next
                         // round, so nothing may linger in worker locals.
@@ -568,110 +441,56 @@ impl<L: Lp> Simulation<L> {
                             }
                         }
                         // Visible to the leader before the next fence
-                        // (barrier A orders it); the checkpoint metadata
-                        // needs the committed count at the cut.
-                        committed.fetch_add(window_committed, Ordering::Relaxed);
-                        if let Some(tp) = tap.as_mut() {
-                            tp.commit(window_committed);
-                            tp.remote(local_remote - live_flushed.0);
-                            tp.cross_shard(local_cross - live_flushed.1);
-                            live_flushed = (local_remote, local_cross);
-                            tp.queue_depth(queue.len() as u64);
+                        // (barrier A orders it).
+                        committed.fetch_add(w.report.committed - before, Ordering::Relaxed);
+                        if let Some(tp) = w.live() {
+                            tp.queue_depth(lane.queue.len() as u64);
                             tp.flush();
                         }
                     }
-                    remote.fetch_add(local_remote, Ordering::Relaxed);
-                    cross.fetch_add(local_cross, Ordering::Relaxed);
-                    end_clock.fetch_max(local_clock, Ordering::Relaxed);
-                    if telem_on {
-                        thread_records.lock().push(telemetry::ThreadRecord {
-                            thread: t,
-                            events: local_committed,
-                            busy_ns,
-                            blocked_ns,
-                            idle_ns: 0,
-                            mailbox_high_water: mailbox_hw,
-                        });
-                    }
-                    queue_ops.fetch_add(queue.ops(), Ordering::Relaxed);
-                    queue_max_len.fetch_max(queue.max_len(), Ordering::Relaxed);
-                    let ps = queue.pool_stats();
-                    if let Some(tp) = tap.as_mut() {
-                        tp.remote(local_remote - live_flushed.0);
-                        tp.cross_shard(local_cross - live_flushed.1);
-                        tp.pool_high_water(ps.high_water);
-                        tp.flush();
-                    }
-                    pool_high_water.fetch_max(ps.high_water, Ordering::Relaxed);
-                    pool_recycled.fetch_add(ps.recycled, Ordering::Relaxed);
-                    let mut leftover: Vec<Envelope<L::Event>> = Vec::new();
-                    queue.drain_to(&mut leftover);
-                    *results[t].lock() = Some((lps, metas, leftover));
+                    run.retire(w, lane, Vec::new());
                 });
             }
 
             // ------------------------------------------------------- leader
-            let mut leader_tap = live_handles.as_ref().map(|h| h.tap(0));
+            let mut leader_tap = run.tap(0);
             let mut epoch = 0u64;
             let mut sent_total = 0u64;
             let mut recv_total = 0u64;
             // Next-epoch frames that raced ahead of a fence conclusion;
             // replayed by the next fence (see `token_fence`).
             let mut stash: Vec<(usize, Frame<L::Event>)> = Vec::new();
-            'rounds: loop {
+            loop {
                 barrier.wait(); // (A)
                 barrier.wait(); // (B) worker mins published
-                                // Flush cross-shard outboxes from the previous window.
-                for (s, ob) in outboxes.iter().enumerate() {
-                    if s == me {
-                        continue;
-                    }
-                    let mut batch = std::mem::take(&mut *ob.lock());
-                    if batch.is_empty() {
-                        continue;
-                    }
-                    sent_total += batch.len() as u64;
-                    // Bound frame size: a burst window ships as several
-                    // `Events` frames instead of one giant serialization —
-                    // the fence stashes and classifies each individually,
-                    // so multiple frames per epoch are already handled.
-                    while !batch.is_empty() {
-                        let rest = if batch.len() > MAX_FRAME_EVENTS {
-                            batch.split_off(MAX_FRAME_EVENTS)
-                        } else {
-                            Vec::new()
-                        };
-                        let chunk = std::mem::replace(&mut batch, rest);
-                        if let Err(e) = transport.send(s, Frame::Events { epoch, batch: chunk }) {
-                            fence_err = Some(e);
-                            ckpt_a.store(false, Ordering::Release);
-                            done_a.store(true, Ordering::Release);
-                            barrier.wait(); // (C)
-                            break 'rounds;
-                        }
-                    }
-                }
-                let halted = violated.load(Ordering::Acquire);
-                let local_min = if halted {
+                let shipped = ship_outboxes(transport, &outboxes, epoch, &mut sent_total);
+                let local_min = if run.halted() {
                     u64::MAX
                 } else {
                     mins.iter().map(|m| m.load(Ordering::Relaxed)).min().unwrap_or(u64::MAX)
                 };
                 let local_committed = committed.load(Ordering::Relaxed) + committed_base;
-                let fence = token_fence(
-                    transport,
-                    epoch,
-                    local_min,
-                    sent_total,
-                    &mut recv_total,
-                    local_committed,
-                    &mut stash,
-                    |env| {
-                        let w = worker_of[env.dst as usize];
-                        debug_assert_ne!(w, u32::MAX, "fence delivery for foreign LP {}", env.dst);
-                        mailboxes[w as usize].push(env);
-                    },
-                );
+                let fence = shipped.and_then(|()| {
+                    token_fence(
+                        transport,
+                        epoch,
+                        local_min,
+                        sent_total,
+                        &mut recv_total,
+                        local_committed,
+                        &mut stash,
+                        |env| {
+                            let w = worker_of[env.dst as usize];
+                            debug_assert_ne!(
+                                w,
+                                u32::MAX,
+                                "fence delivery for foreign LP {}",
+                                env.dst
+                            );
+                            mailboxes[w as usize].push(env);
+                        },
+                    )
+                });
                 let (gvt, global_committed) = match fence {
                     Ok(v) => v,
                     Err(e) => {
@@ -679,7 +498,7 @@ impl<L: Lp> Simulation<L> {
                         ckpt_a.store(false, Ordering::Release);
                         done_a.store(true, Ordering::Release);
                         barrier.wait(); // (C)
-                        break 'rounds;
+                        break;
                     }
                 };
                 // A halted (causality-violated) shard keeps fencing with
@@ -701,9 +520,6 @@ impl<L: Lp> Simulation<L> {
                 wend_a.store(wend, Ordering::Release);
                 done_a.store(done, Ordering::Release);
                 ckpt_a.store(do_ckpt, Ordering::Release);
-                if !done {
-                    rounds += 1;
-                }
                 if let Some(tp) = leader_tap.as_mut() {
                     if gvt != u64::MAX {
                         tp.gvt(gvt);
@@ -754,63 +570,39 @@ impl<L: Lp> Simulation<L> {
             }
         });
 
-        // Reassemble owned LP state; foreign slots kept their initial
-        // state. Reabsorb unprocessed events for a later leg.
-        for (w, slot) in results.iter().enumerate() {
-            let (lps, metas, leftover) =
-                slot.lock().take().expect("shard worker did not report results");
-            for ((&gid, lp), meta) in wgids[w].iter().zip(lps).zip(metas) {
-                lp_slots[gid as usize] = Some(lp);
-                meta_slots[gid as usize] = Some(meta);
-            }
-            for env in leftover {
-                self.pending.push(env);
-            }
-        }
-        self.lps = lp_slots.into_iter().map(|s| s.expect("missing LP")).collect();
-        self.meta = meta_slots.into_iter().map(|s| s.expect("missing meta")).collect();
-        let mut stray = Vec::new();
-        for mb in &mailboxes {
-            mb.drain_into(&mut stray);
-        }
-        for env in stray {
-            self.pending.push(env);
-        }
-        if let Some(msg) = violation.lock().take() {
-            panic!("{msg}");
-        }
+        // Owned LPs go back into their slots (foreign ones kept their
+        // initial state); unprocessed events stay pending for a later leg.
+        let reports = run.reassemble(self, slots, Mailbox::drain_all(&mailboxes));
         if let Some(e) = fence_err {
             return Err(e);
         }
-
-        let stats = RunStats {
-            committed: committed.load(Ordering::Relaxed),
-            remote_events: remote.load(Ordering::Relaxed),
-            cross_shard_events: cross.load(Ordering::Relaxed),
-            rounds,
-            end_time: SimTime(end_clock.load(Ordering::Relaxed)),
-            wall_seconds: start.elapsed().as_secs_f64(),
-            ..Default::default()
-        };
-        crate::engine::emit_sched_telemetry(
-            self.telemetry.as_deref(),
-            "sharded-conservative",
-            n_threads,
-            &stats,
-            0,
-            QueueTelemetry {
-                kind: qkind,
-                ops: queue_ops.load(Ordering::Relaxed),
-                max_len: queue_max_len.load(Ordering::Relaxed),
-                pool: crate::pool::PoolStats {
-                    high_water: pool_high_water.load(Ordering::Relaxed),
-                    recycled: pool_recycled.load(Ordering::Relaxed),
-                },
-            },
-            thread_records.into_inner(),
-        );
-        Ok(stats)
+        Ok(run.fold(self, reports))
     }
+}
+
+/// Ship the cross-shard outboxes the workers filled in the previous
+/// window as `Events` frames of the current epoch. A burst window goes
+/// out as several bounded frames instead of one giant serialization —
+/// the fence stashes and classifies each individually.
+fn ship_outboxes<E: Clone + Send>(
+    transport: &mut dyn ShardTransport<E>,
+    outboxes: &[Mutex<Vec<Envelope<E>>>],
+    epoch: u64,
+    sent_total: &mut u64,
+) -> Result<(), ShardError> {
+    for (s, ob) in outboxes.iter().enumerate() {
+        if s == transport.me() {
+            continue;
+        }
+        let mut batch = std::mem::take(&mut *ob.lock());
+        *sent_total += batch.len() as u64;
+        while !batch.is_empty() {
+            let rest = batch.split_off(batch.len().min(MAX_FRAME_EVENTS));
+            let frame = std::mem::replace(&mut batch, rest);
+            transport.send(s, Frame::Events { epoch, batch: frame })?;
+        }
+    }
+    Ok(())
 }
 
 /// One worker's staged checkpoint contribution: snapshots of its owned

@@ -6,7 +6,7 @@ use dragonfly::{DragonflyConfig, Routing};
 use harness::sweep::{self, SweepConfig};
 use metrics::AppLatencySummary;
 use placement::Placement;
-use ross::{Scheduler, SimTime};
+use ross::{OptimisticConfig, Scheduler, SimDuration, SimTime};
 use union_core::{translate_source, RankVm, SkeletonInstance, Validation};
 use workloads::{app, AppKind, Profile};
 
@@ -132,8 +132,12 @@ fn schedulers_agree_on_hybrid_workload() {
         (fp, r.link_load)
     };
     let seq = fingerprint(Scheduler::Sequential);
-    assert_eq!(seq, fingerprint(Scheduler::Conservative(3)));
-    assert_eq!(seq, fingerprint(Scheduler::Optimistic(3)));
+    let par = Scheduler::ConservativeParallel { threads: 3, lookahead: SimDuration::from_ns(1) };
+    assert_eq!(seq, fingerprint(par));
+    assert_eq!(
+        seq,
+        fingerprint(Scheduler::Optimistic { threads: 3, config: OptimisticConfig::default() })
+    );
 }
 
 /// The sweep machinery produces baselines and mixes with sane structure.

@@ -90,8 +90,11 @@ fn run(sched: Scheduler) -> Fingerprint {
 fn all_schedulers_agree_bit_for_bit() {
     let seq = run(Scheduler::Sequential);
     assert!(seq.committed > 0);
-    assert_eq!(seq, run(Scheduler::Conservative(3)), "conservative != sequential");
-    assert_eq!(seq, run(Scheduler::Optimistic(3)), "optimistic != sequential");
+    assert_eq!(
+        seq,
+        run(Scheduler::Optimistic { threads: 3, config: OptimisticConfig::default() }),
+        "optimistic != sequential"
+    );
     // 100 ns is the minimum cross-partition delay on the default config
     // (local link latency); wider windows would violate causality, a
     // 1 ns window is always legal. Both must match.
@@ -118,8 +121,7 @@ fn queue_choice_never_changes_results() {
     assert!(reference.committed > 0);
     let scheds = [
         Scheduler::Sequential,
-        Scheduler::Conservative(3),
-        Scheduler::Optimistic(3),
+        Scheduler::Optimistic { threads: 3, config: OptimisticConfig::default() },
         Scheduler::ConservativeParallel { threads: 3, lookahead: SimDuration::from_ns(100) },
         Scheduler::ConservativeAsync { threads: 3, lookahead: SimDuration::from_ns(100) },
     ];
@@ -142,7 +144,7 @@ fn queue_choice_never_changes_results() {
 fn optimistic_small_snapshot_interval_agrees() {
     let seq = run(Scheduler::Sequential);
     for (threads, batch, snapshot_interval) in [(3usize, 32usize, 4u64), (2, 8, 4), (4, 64, 8)] {
-        let opt = run(Scheduler::OptimisticWith {
+        let opt = run(Scheduler::Optimistic {
             threads,
             config: OptimisticConfig { batch, snapshot_interval },
         });

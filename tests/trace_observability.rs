@@ -7,7 +7,7 @@ use codes::SimulationBuilder;
 use dragonfly::{DragonflyConfig, Routing};
 use harness::{analyze, causality_fingerprint, parse_chrome, TraceRun};
 use placement::Placement;
-use ross::{Scheduler, SimDuration, SimTime, Tracer};
+use ross::{OptimisticConfig, Scheduler, SimDuration, SimTime, Tracer};
 use std::sync::Arc;
 use workloads::{app, AppKind, Profile};
 
@@ -41,6 +41,14 @@ fn par3() -> Scheduler {
     Scheduler::ConservativeParallel { threads: 3, lookahead: SimDuration::from_ns(100) }
 }
 
+fn async3() -> Scheduler {
+    Scheduler::ConservativeAsync { threads: 3, lookahead: SimDuration::from_ns(100) }
+}
+
+fn opt3() -> Scheduler {
+    Scheduler::Optimistic { threads: 3, config: OptimisticConfig::default() }
+}
+
 /// Same seed + same scheduler ⇒ byte-identical causal structure, and the
 /// committed causality must not depend on the scheduler or sample rate
 /// (durations are sampled wall-clock noise and are excluded by design).
@@ -54,7 +62,7 @@ fn causality_fingerprint_is_deterministic_and_scheduler_independent() {
     let (sampled, _) = traced_run(Scheduler::Sequential, 64);
     assert_eq!(reference, causality_fingerprint(&sampled[0]), "sample rate changed causality");
 
-    for sched in [Scheduler::Conservative(3), par3(), Scheduler::Optimistic(3)] {
+    for sched in [async3(), par3(), opt3()] {
         let (runs, _) = traced_run(sched, 1);
         assert_eq!(
             reference,
@@ -100,9 +108,7 @@ fn chrome_export_is_valid_json_with_monotonic_tracks() {
 /// runs the wasted fraction must be a sane [0, 1) ratio.
 #[test]
 fn critical_path_invariants_hold_on_real_traces() {
-    for sched in
-        [Scheduler::Sequential, Scheduler::Conservative(3), par3(), Scheduler::Optimistic(3)]
-    {
+    for sched in [Scheduler::Sequential, async3(), par3(), opt3()] {
         let (runs, _) = traced_run(sched, 1);
         let a = analyze(&runs[0]);
         let violations = a.check_invariants();
@@ -112,14 +118,15 @@ fn critical_path_invariants_hold_on_real_traces() {
         assert!(a.speedup_bound >= 1.0, "{sched:?} bound below 1");
         let w = a.wasted_fraction();
         assert!((0.0..1.0).contains(&w), "{sched:?} wasted fraction {w} out of range");
-        if !matches!(sched, Scheduler::Optimistic(_)) {
+        if !matches!(sched, Scheduler::Optimistic { .. }) {
             assert_eq!(a.wasted_events, 0, "{sched:?} cannot roll back");
         }
     }
 }
 
-/// Satellite: malformed numeric flag values must exit with code 2 and a
-/// clear message, not silently fall back to the default.
+/// Malformed numeric flag values, a retired scheduler and flags a
+/// command does not support must exit with code 2 and a clear message,
+/// not silently fall back to the default or be ignored.
 #[test]
 fn malformed_numeric_flag_exits_two() {
     let cases: &[&[&str]] = &[
@@ -127,6 +134,9 @@ fn malformed_numeric_flag_exits_two() {
         &["fig7", "--profile", "quick", "--seed", "1.5"],
         &["table1", "--ranks", "many"],
         &["fig7", "--profile", "quick", "--trace"],
+        &["fig7", "--profile", "quick", "--sched", "cons:2"],
+        &["mix", "--trace", "mix.json"],
+        &["phold", "--trace", "phold.json"],
     ];
     for args in cases {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_union-exp"))
