@@ -5,6 +5,7 @@
 //! experiment index and EXPERIMENTS.md for recorded paper-vs-measured
 //! results.
 
+pub mod cli;
 pub mod lint;
 pub mod live;
 pub mod report;

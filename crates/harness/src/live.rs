@@ -1,14 +1,18 @@
-//! `union-exp` side of the live metrics plane: CLI plumbing for
-//! `--live ADDR` and the `union-exp top` summary renderer.
+//! `union-exp` side of the live metrics plane: the `--live ADDR`
+//! endpoint of a run and the `union-exp top` summary renderer.
 //!
 //! The heavy machinery (registry, sampler, endpoint, gang aggregation)
 //! lives in [`telemetry::live`]; this module owns what is CLI-shaped —
-//! parsing the flags, fetching a snapshot from an endpoint or a JSONL
-//! file, and rendering the one-screen summary table.
+//! starting and stopping a run's endpoint, fetching a snapshot from an
+//! endpoint or a JSONL file, and rendering the one-screen summary table.
 
-use telemetry::live::{bucket_bounds, SnapshotRecord};
+use std::sync::Arc;
+use std::time::Duration;
+use telemetry::live::{
+    bucket_bounds, GangAggregator, MetricsRegistry, MetricsSource, Sampler, Server, SnapshotRecord,
+};
 
-/// Parsed `--live ADDR [--live-hold MS] [--live-interval MS]` flags.
+/// The `--live ADDR [--live-hold MS] [--live-interval MS]` flags.
 #[derive(Clone, Debug)]
 pub struct LiveOpts {
     /// Bind address for the exposition endpoint, e.g. `127.0.0.1:9464`
@@ -24,6 +28,64 @@ pub struct LiveOpts {
 /// Snapshots kept in the sampler ring — enough for a few minutes of
 /// history at the default interval without unbounded growth.
 pub const RING_CAP: usize = 512;
+
+/// The exposition endpoint of one `--live` run. A single process feeds
+/// `registry` and samples it; a shard gang's launcher serves `gang`,
+/// which merges the snapshots its workers stream (counter-sum,
+/// gauge-max, histogram-merge).
+pub struct LivePlane {
+    pub registry: Option<Arc<MetricsRegistry>>,
+    pub gang: Option<Arc<GangAggregator>>,
+    sampler: Option<Sampler>,
+    server: Server,
+    hold_ms: u64,
+}
+
+impl LivePlane {
+    /// Bind the endpoint (and, for a single process, start sampling).
+    pub fn start(lo: &LiveOpts, gang: bool) -> Result<LivePlane, String> {
+        let (registry, agg, source) = if gang {
+            let agg = Arc::new(GangAggregator::new());
+            (None, Some(agg.clone()), MetricsSource::Gang(agg))
+        } else {
+            let reg = Arc::new(MetricsRegistry::new());
+            (Some(reg.clone()), None, MetricsSource::Registry(reg))
+        };
+        let server = Server::bind(&lo.addr, source)
+            .map_err(|e| format!("cannot bind live endpoint `{}`: {e}", lo.addr))?;
+        let what = if gang { " (gang-aggregated)" } else { "" };
+        eprintln!("live endpoint on http://{}/metrics{what}", server.local_addr());
+        let sampler = registry.as_ref().map(|reg| {
+            Sampler::start(
+                reg.clone(),
+                Duration::from_millis(lo.interval_ms.max(1)),
+                RING_CAP,
+                None,
+            )
+        });
+        Ok(LivePlane { registry, gang: agg, sampler, server, hold_ms: lo.hold_ms })
+    }
+
+    /// Orderly teardown: stop sampling (the stop takes one final
+    /// snapshot, so the last entry has exact end-of-run totals), append
+    /// the snapshots — or the gang's merged one — to the telemetry
+    /// stream when one is attached, hold for scrapers, shut down.
+    pub fn finish(mut self, telemetry: Option<&telemetry::Recorder>) {
+        let ring = self.sampler.take().map(Sampler::stop).unwrap_or_default();
+        if let Some(rec) = telemetry {
+            for snap in &ring {
+                rec.emit(snap);
+            }
+            if let Some(agg) = &self.gang {
+                rec.emit(&agg.aggregate());
+            }
+        }
+        if self.hold_ms > 0 {
+            std::thread::sleep(Duration::from_millis(self.hold_ms));
+        }
+        self.server.shutdown();
+    }
+}
 
 /// Fetch the JSON snapshot from a live endpoint.
 pub fn fetch_snapshot(addr: &str) -> Result<SnapshotRecord, String> {
@@ -115,8 +177,6 @@ pub fn snapshot_buckets_valid(snap: &SnapshotRecord) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-    use telemetry::live::MetricsRegistry;
 
     fn sample_snapshot() -> SnapshotRecord {
         let reg = Arc::new(MetricsRegistry::with_shards(2));

@@ -24,6 +24,7 @@
 //! control connection; the parent then kills the rest of the gang and
 //! reports which shard was lost.
 
+use crate::live::{LiveOpts, RING_CAP};
 use ross::shard::wire::{fnv1a, put_u64, ByteReader};
 use ross::shard::{
     shard_owner_map, CheckpointSpec, EventCodec, ShardCodec, ShardError, ShardRun, TcpTransport,
@@ -36,7 +37,7 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-use telemetry::live::{GangAggregator, SnapshotRecord, SnapshotSink};
+use telemetry::live::{GangAggregator, MetricsRegistry, Sampler, SnapshotRecord, SnapshotSink};
 
 /// Environment of a spawned worker process.
 pub const ENV_ROLE: &str = "UNION_SHARD_ROLE";
@@ -53,33 +54,6 @@ pub struct ShardSpec {
     pub shards: usize,
     pub threads: usize,
     pub lookahead_ns: u64,
-}
-
-impl ShardSpec {
-    /// `None` when `s` is not a `shard:` spec at all; `Some(Err)` when it
-    /// is one but malformed.
-    pub fn parse(s: &str) -> Option<Result<ShardSpec, String>> {
-        let rest = s.strip_prefix("shard:")?;
-        let parts: Vec<&str> = rest.split(':').collect();
-        let bad =
-            || format!("scheduler spec `{s}` must be shard:<shards>:<threads>:<lookahead-ns>");
-        if parts.len() != 3 {
-            return Some(Err(bad()));
-        }
-        let shards = match parts[0].parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => return Some(Err(bad())),
-        };
-        let threads = match parts[1].parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => return Some(Err(bad())),
-        };
-        let lookahead_ns = match parts[2].parse::<u64>() {
-            Ok(n) if n >= 1 => n,
-            _ => return Some(Err(bad())),
-        };
-        Some(Ok(ShardSpec { shards, threads, lookahead_ns }))
-    }
 }
 
 /// The worker role of this process, if the launcher spawned it:
@@ -127,6 +101,19 @@ pub struct WorkerReport {
     pub telemetry: Vec<String>,
 }
 
+/// A worker's first control line: its shard id and data-mesh address.
+#[derive(Serialize, Deserialize)]
+struct Hello {
+    hello: u64,
+    addr: String,
+}
+
+/// The launcher's reply: every worker's data-mesh address, in shard order.
+#[derive(Serialize, Deserialize)]
+struct PeerList {
+    peers: Vec<String>,
+}
+
 fn write_line(stream: &mut TcpStream, line: &str) -> std::io::Result<()> {
     stream.write_all(line.as_bytes())?;
     stream.write_all(b"\n")
@@ -136,26 +123,79 @@ fn write_line(stream: &mut TcpStream, line: &str) -> std::io::Result<()> {
 // Worker side
 // ---------------------------------------------------------------------------
 
+/// What a gang worker's model closure gets from [`run_worker`]: its
+/// place in the gang, the data-mesh listener and peer addresses to pass
+/// to [`TcpTransport::mesh`], its telemetry recorder and, under `--live`,
+/// the registry its sampler streams to the launcher.
+pub struct WorkerEnv {
+    pub me: usize,
+    pub n: usize,
+    pub listener: TcpListener,
+    pub peers: Vec<SocketAddr>,
+    pub telemetry: Arc<telemetry::Recorder>,
+    pub live: Option<Arc<MetricsRegistry>>,
+}
+
+/// Run this process as shard `me` of an `n`-process gang: join the
+/// launcher at `control`, run `shard_run` (which returns the owned
+/// slice's fingerprint and the run's stats), and report. Under `live`
+/// the worker never binds an endpoint; its sampler streams snapshots to
+/// the launcher over the control socket instead. Returns whether the
+/// shard succeeded; `Err` when the launcher could not be reached.
+pub fn run_worker(
+    (me, n, control): (usize, usize, String),
+    live: Option<&LiveOpts>,
+    shard_run: impl FnOnce(WorkerEnv) -> Result<(u64, RunStats), String>,
+) -> Result<bool, String> {
+    let (mut link, listener) = WorkerLink::connect(me, n, &control)?;
+    let peers = link.peers()?;
+    let rec = Arc::new(telemetry::Recorder::new());
+    let registry = live.map(|_| Arc::new(MetricsRegistry::new()));
+    let sampler = live.zip(registry.as_ref()).map(|(lo, reg)| {
+        let interval = Duration::from_millis(lo.interval_ms.max(1));
+        Sampler::start(reg.clone(), interval, RING_CAP, Some(link.snapshot_sink()))
+    });
+    let env = WorkerEnv { me, n, listener, peers, telemetry: rec.clone(), live: registry };
+    let out = shard_run(env);
+    // Stop before reporting: the stop tick streams the exact end-of-run
+    // snapshot ahead of the report line.
+    if let Some(s) = sampler {
+        s.stop();
+    }
+    let (fingerprint, stats, error) = match out {
+        Ok((fingerprint, stats)) => (fingerprint, stats, None),
+        Err(e) => (0, RunStats::default(), Some(e)),
+    };
+    let report = WorkerReport {
+        shard: me as u64,
+        ok: error.is_none(),
+        error,
+        fingerprint,
+        committed: stats.committed,
+        cross_shard_events: stats.cross_shard_events,
+        rounds: stats.rounds,
+        telemetry: rec.lines(),
+    };
+    link.report(&report);
+    Ok(report.ok)
+}
+
 /// A worker's connection to the launcher. The writer is shared: the
 /// live sampler thread streams snapshot lines through it concurrently
 /// with (strictly before, by the sampler-stop ordering) the final
 /// report, and the mutex keeps lines whole.
-pub struct WorkerLink {
+struct WorkerLink {
     reader: BufReader<TcpStream>,
     writer: Arc<Mutex<TcpStream>>,
-    pub me: usize,
-    pub n: usize,
+    me: usize,
+    n: usize,
 }
 
 impl WorkerLink {
     /// Connect to the launcher, bind the data-mesh listener, and say
     /// hello. Returns the link and the listener to pass to
     /// [`TcpTransport::mesh`].
-    pub fn connect(
-        me: usize,
-        n: usize,
-        control: &str,
-    ) -> Result<(WorkerLink, TcpListener), String> {
+    fn connect(me: usize, n: usize, control: &str) -> Result<(WorkerLink, TcpListener), String> {
         let stream = TcpStream::connect(control)
             .map_err(|e| format!("shard {me}: cannot reach launcher at {control}: {e}"))?;
         let listener = TcpListener::bind("127.0.0.1:0")
@@ -163,32 +203,22 @@ impl WorkerLink {
         let addr = listener.local_addr().map_err(|e| e.to_string())?;
         let writer = Arc::new(Mutex::new(stream.try_clone().map_err(|e| e.to_string())?));
         let link = WorkerLink { reader: BufReader::new(stream), writer, me, n };
-        let hello = serde::Value::Object(vec![
-            ("hello".to_string(), serde::Value::UInt(me as u64)),
-            ("addr".to_string(), serde::Value::Str(addr.to_string())),
-        ]);
-        write_line(
-            &mut link.writer.lock().expect("control writer"),
-            &serde_json::to_string(&hello).expect("hello json"),
-        )
-        .map_err(|e| format!("shard {me}: hello failed: {e}"))?;
+        let hello = Hello { hello: me as u64, addr: addr.to_string() };
+        let hello = serde_json::to_string(&hello).expect("hello serializes");
+        write_line(&mut link.writer.lock().expect("control writer"), &hello)
+            .map_err(|e| format!("shard {me}: hello failed: {e}"))?;
         Ok((link, listener))
     }
 
     /// Receive the full gang's data addresses, in shard order.
-    pub fn peers(&mut self) -> Result<Vec<SocketAddr>, String> {
+    fn peers(&mut self) -> Result<Vec<SocketAddr>, String> {
         let mut line = String::new();
         self.reader
             .read_line(&mut line)
             .map_err(|e| format!("shard {}: reading peer list: {e}", self.me))?;
-        let v: serde::Value = serde_json::from_str(line.trim())
+        let list: PeerList = serde_json::from_str(line.trim())
             .map_err(|e| format!("shard {}: bad peer list: {e}", self.me))?;
-        let peers = v
-            .get("peers")
-            .and_then(|p| p.as_array())
-            .ok_or_else(|| format!("shard {}: peer list missing `peers`", self.me))?;
-        let addrs: Option<Vec<SocketAddr>> =
-            peers.iter().map(|a| a.as_str()?.parse().ok()).collect();
+        let addrs: Option<Vec<SocketAddr>> = list.peers.iter().map(|a| a.parse().ok()).collect();
         addrs
             .filter(|a| a.len() == self.n)
             .ok_or_else(|| format!("shard {}: malformed peer list", self.me))
@@ -196,7 +226,7 @@ impl WorkerLink {
 
     /// Send the final report. Errors are ignored deliberately: if the
     /// launcher is already gone there is nobody left to tell.
-    pub fn report(&mut self, report: &WorkerReport) {
+    fn report(&mut self, report: &WorkerReport) {
         if let Ok(json) = serde_json::to_string(report) {
             let _ = write_line(&mut self.writer.lock().expect("control writer"), &json);
         }
@@ -206,7 +236,7 @@ impl WorkerLink {
     /// JSONL line. Send failures are swallowed: a gang with a dead
     /// launcher is already doomed, and the run's correctness never
     /// depends on live metrics arriving.
-    pub fn snapshot_sink(&self) -> SnapshotSink {
+    fn snapshot_sink(&self) -> SnapshotSink {
         let writer = Arc::clone(&self.writer);
         Box::new(move |snap: &SnapshotRecord| {
             if let Ok(json) = serde_json::to_string(snap) {
@@ -327,21 +357,13 @@ fn broker_and_collect(
                 let mut reader = BufReader::new(stream);
                 let mut line = String::new();
                 reader.read_line(&mut line).map_err(|e| format!("worker hello: {e}"))?;
-                let v: serde::Value = serde_json::from_str(line.trim())
+                let hello: Hello = serde_json::from_str(line.trim())
                     .map_err(|e| format!("bad worker hello `{}`: {e}", line.trim()))?;
-                let id = v
-                    .get("hello")
-                    .and_then(|h| h.as_u64())
-                    .ok_or_else(|| format!("worker hello without id: {}", line.trim()))?
-                    as usize;
-                let addr = v
-                    .get("addr")
-                    .and_then(|a| a.as_str())
-                    .ok_or_else(|| format!("worker hello without addr: {}", line.trim()))?;
+                let id = hello.hello as usize;
                 if id >= spec.shards || conns[id].is_some() {
                     return Err(format!("unexpected hello from shard {id}"));
                 }
-                addrs[id] = Some(addr.to_string());
+                addrs[id] = Some(hello.addr);
                 conns[id] = Some((reader, writer));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -363,14 +385,8 @@ fn broker_and_collect(
         }
     }
 
-    let peer_line = {
-        let list: Vec<serde::Value> = addrs
-            .iter()
-            .map(|a| serde::Value::Str(a.clone().expect("all addrs collected")))
-            .collect();
-        let v = serde::Value::Object(vec![("peers".to_string(), serde::Value::Array(list))]);
-        serde_json::to_string(&v).expect("peers json")
-    };
+    let peers = addrs.into_iter().map(|a| a.expect("all addrs collected")).collect();
+    let peer_line = serde_json::to_string(&PeerList { peers }).expect("peer list serializes");
     for c in conns.iter_mut().flatten() {
         write_line(&mut c.1, &peer_line).map_err(|e| format!("sending peer list: {e}"))?;
     }
@@ -541,27 +557,22 @@ pub fn phold_fingerprint(sim: &Simulation<PholdLp>, me: usize, n_shards: usize) 
     )
 }
 
-/// Run one PHOLD shard inside a worker process: form the TCP mesh, run,
-/// fingerprint the owned slice.
-#[allow(clippy::too_many_arguments)]
+/// Run one PHOLD shard inside a gang worker: form the TCP mesh, run
+/// (dying right after the first checkpoint when the fault-injection
+/// environment names this shard), fingerprint the owned slice.
 pub fn phold_worker_run(
-    me: usize,
-    n: usize,
-    listener: TcpListener,
-    peers: &[SocketAddr],
+    w: WorkerEnv,
     params: &PholdParams,
     spec: &ShardSpec,
     checkpoint: Option<CheckpointSpec>,
     restore: Option<PathBuf>,
     until: SimTime,
-    telemetry: Option<Arc<telemetry::Recorder>>,
-    live: Option<Arc<telemetry::live::MetricsRegistry>>,
 ) -> Result<(u64, RunStats), ShardError> {
-    let mut transport = TcpTransport::mesh(me, listener, peers, Arc::new(PholdCodec))?;
+    let mut transport = TcpTransport::mesh(w.me, w.listener, &w.peers, Arc::new(PholdCodec))?;
     let mut sim = build_phold(params);
-    sim.set_telemetry(telemetry);
-    sim.set_live(live);
-    let fault = fault_kill_after_ckpt().filter(|&f| f == me);
+    sim.set_telemetry(Some(w.telemetry));
+    sim.set_live(w.live);
+    let fault = fault_kill_after_ckpt().filter(|&f| f == w.me);
     let die = |_gvt: u64| die_hard();
     let opts = ShardRun {
         threads: spec.threads,
@@ -572,7 +583,7 @@ pub fn phold_worker_run(
         on_checkpoint: if fault.is_some() { Some(&die) } else { None },
     };
     let stats = sim.run_sharded(&mut transport, opts, until)?;
-    Ok((phold_fingerprint(&sim, me, n), stats))
+    Ok((phold_fingerprint(&sim, w.me, w.n), stats))
 }
 
 #[cfg(test)]
@@ -581,14 +592,16 @@ mod tests {
 
     #[test]
     fn shard_spec_parses_and_rejects() {
+        use crate::cli::{parse_sched, SchedSpec};
+        let parse = |s| parse_sched(s, "mix", &["seq", "shard"]);
         assert_eq!(
-            ShardSpec::parse("shard:2:4:500"),
-            Some(Ok(ShardSpec { shards: 2, threads: 4, lookahead_ns: 500 }))
+            parse("shard:2:4:500"),
+            Ok(SchedSpec::Shard(ShardSpec { shards: 2, threads: 4, lookahead_ns: 500 }))
         );
-        assert!(ShardSpec::parse("par:2:500").is_none());
-        assert!(ShardSpec::parse("seq").is_none());
+        assert!(parse("par:2:500").unwrap_err().contains("mix supports"));
+        assert_eq!(parse("seq"), Ok(SchedSpec::InProcess(ross::Scheduler::Sequential)));
         for bad in ["shard:2:4", "shard:0:1:50", "shard:2:0:50", "shard:2:2:0", "shard:a:b:c"] {
-            assert!(matches!(ShardSpec::parse(bad), Some(Err(_))), "{bad} accepted");
+            assert!(parse(bad).is_err(), "{bad} accepted");
         }
     }
 

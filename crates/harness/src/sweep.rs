@@ -4,7 +4,7 @@
 //! communication-time distributions, link loads, and (optionally)
 //! windowed router counters.
 
-use codes::{SimResults, SimulationBuilder};
+use codes::{CodesSim, SimResults, SimulationBuilder};
 use dragonfly::{DragonflyConfig, FlowControl, Routing};
 use metrics::{AppLatencySummary, Boxplot, LinkLoad};
 use placement::Placement;
@@ -192,8 +192,8 @@ fn apps_of(workload: u8) -> Vec<AppKind> {
     workloads::workload(workload, Profile::Quick, 1, 64).into_iter().map(|a| a.kind).collect()
 }
 
-/// Run one configuration and summarize it.
-pub fn run_one(cfg: &SweepConfig, key: RunKey) -> Result<RunRecord, String> {
+/// Assemble the simulation of one sweep cell.
+pub fn build(cfg: &SweepConfig, key: RunKey) -> Result<CodesSim, String> {
     let apps: Vec<AppConfig> = match key.workload {
         Workload::Mix(w) => workloads::workload(w, cfg.profile, cfg.iters, cfg.scale),
         Workload::Baseline(kind) => {
@@ -218,7 +218,12 @@ pub fn run_one(cfg: &SweepConfig, key: RunKey) -> Result<RunRecord, String> {
     for a in &apps {
         b = b.job(a.name(), a.vms(cfg.seed)?);
     }
-    let mut sim = b.build()?;
+    b.build()
+}
+
+/// Run one configuration and summarize it.
+pub fn run_one(cfg: &SweepConfig, key: RunKey) -> Result<RunRecord, String> {
+    let mut sim = build(cfg, key)?;
     let t0 = std::time::Instant::now();
     let results = sim.run(cfg.sched, cfg.until);
     // A wire-protocol violation is a simulation failure, not a result.

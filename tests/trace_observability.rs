@@ -137,6 +137,36 @@ fn malformed_numeric_flag_exits_two() {
         &["fig7", "--profile", "quick", "--sched", "cons:2"],
         &["mix", "--trace", "mix.json"],
         &["phold", "--trace", "phold.json"],
+        // Unknown, repeated and value-less flags, and values outside the
+        // declared set.
+        &["phold", "--bogus-flag", "7"],
+        &["table2", "--wat"],
+        &["skeleton", "alexnet", "--wat"],
+        &["validate", "--ranks", "8", "--bogus"],
+        &["fig7", "--quick"],
+        &["fig7", "--profile", "papr"],
+        &["fig7", "--flow", "creditt"],
+        &["fig7", "--nets", "3d"],
+        &["fig7", "--placements", "XX"],
+        &["fig7", "--routings", "FOO"],
+        &["fig7", "--workloads", "abc"],
+        &["fig7", "--nets", "1d", "--nets", "2d"],
+        &["fig7", "--live", "127.0.0.1:0"],
+        &["mix", "--flow", "credit"],
+        &["lint", "--fixture"],
+        &["fig7", "--json"],
+        &["fig7", "--telemetry"],
+        // Out-of-range values: workload in 1..=3, ranks >= 1.
+        &["fig7", "--workloads", "3,9"],
+        &["mix", "--workload", "7"],
+        &["table1", "--ranks", "0"],
+        &["validate", "--ranks", "0"],
+        // Companion flags without their partner.
+        &["phold", "--live-hold", "100"],
+        &["phold", "--live-interval", "50"],
+        &["mix", "--live-hold", "100"],
+        &["phold", "--shard-no-verify"],
+        &["mix", "--shard-no-verify"],
     ];
     for args in cases {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_union-exp"))
@@ -146,5 +176,32 @@ fn malformed_numeric_flag_exits_two() {
         assert_eq!(out.status.code(), Some(2), "{args:?} should exit 2");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains("union-exp"), "{args:?} stderr lacks context: {err}");
+        assert!(
+            args[1..].iter().any(|a| err.contains(a)),
+            "{args:?} stderr names neither the flag nor the value: {err}"
+        );
     }
+}
+
+/// `--json` to a path that cannot be created is a run failure (exit 1)
+/// naming the file, never a panic.
+#[test]
+fn json_to_an_unwritable_path_exits_one() {
+    // A regular file as the parent directory: unwritable even for root,
+    // which may create any missing directory.
+    let blocker = std::env::temp_dir().join(format!("union-json-blocker-{}", std::process::id()));
+    std::fs::write(&blocker, "not a directory").expect("write blocker file");
+    let path = blocker.join("sweep.json");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_union-exp"))
+        .args(["fig7", "--iters", "1", "--scale", "64", "--nets", "1d", "--placements", "RG"])
+        .args(["--routings", "ADP", "--workloads", "3", "--no-baselines", "--json"])
+        .arg(&path)
+        .output()
+        .expect("spawn union-exp");
+    std::fs::remove_file(&blocker).ok();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    assert!(err.contains("union-exp: cannot write"), "{err}");
+    assert!(err.contains(path.to_str().unwrap()), "{err}");
 }
