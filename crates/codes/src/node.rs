@@ -12,7 +12,48 @@ use dragonfly::Packet;
 use mpi_sim::{Action, MpiMsg, MpiRank, MsgKind};
 use ross::{Ctx, SimDuration, SimTime};
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
+
+/// Hasher of the packet-reassembly map: one multiply-rotate round per
+/// written word. The map is never iterated, so its hash function cannot
+/// reach results, and SipHash's flood resistance buys nothing against
+/// keys the model itself generates. SipHash, run on every delivered
+/// packet, cost about 2.5% of a Workload3 run.
+#[derive(Default)]
+struct MixHasher(u64);
+
+impl MixHasher {
+    #[inline]
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for MixHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.mix(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.mix(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.mix(n);
+    }
+
+    /// The multiply leaves its best-mixed bits on top; rotate some of them
+    /// into the low bits that pick the bucket.
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
 
 /// Encode/decode the message kind into the packet's opaque byte.
 fn kind_code(k: MsgKind) -> u8 {
@@ -72,7 +113,7 @@ pub struct NodeLp {
     nic: Nic,
     pub proc: Option<Proc>,
     /// Partial message reassembly: (src_node, msg_id) → bytes received.
-    assembly: HashMap<(u32, u64), u64>,
+    assembly: HashMap<(u32, u64), u64, BuildHasherDefault<MixHasher>>,
     /// Packets fully received at this node (telemetry).
     pub delivered_packets: u64,
 }
@@ -84,7 +125,7 @@ impl NodeLp {
             shared,
             nic: Nic::default(),
             proc,
-            assembly: HashMap::new(),
+            assembly: HashMap::default(),
             delivered_packets: 0,
         }
     }

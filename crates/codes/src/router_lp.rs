@@ -21,6 +21,9 @@ pub struct RouterLp {
     pub credit: Option<CreditState>,
     shared: Arc<Shared>,
     rng: SmallRng,
+    /// Scratch for one credit-mode step's actions, reused across events.
+    /// Empty between events, so a Time Warp state save copies nothing.
+    actions: Vec<VcAction>,
 }
 
 impl RouterLp {
@@ -38,6 +41,7 @@ impl RouterLp {
             credit,
             shared,
             rng: SmallRng::seed_from_u64(seed ^ ((router as u64) << 24)),
+            actions: Vec::new(),
         }
     }
 
@@ -55,7 +59,7 @@ impl RouterLp {
                 self.emit_forward(now, ctx, fwd, pkt);
             }
             (Event::RouterPkt(pkt), Some(credit)) => {
-                let mut actions = Vec::new();
+                let mut actions = std::mem::take(&mut self.actions);
                 forward_vc(
                     &mut self.state,
                     credit,
@@ -66,11 +70,11 @@ impl RouterLp {
                     &mut self.rng,
                     &mut actions,
                 );
-                self.emit_actions(now, ctx, actions);
+                self.emit_actions(now, ctx, &mut actions);
+                self.actions = actions;
             }
-            (Event::Credit { port, vc }, Some(_)) => {
-                let mut actions = Vec::new();
-                let credit = self.credit.as_mut().unwrap();
+            (Event::Credit { port, vc }, Some(credit)) => {
+                let mut actions = std::mem::take(&mut self.actions);
                 credit_arrived(
                     &mut self.state,
                     credit,
@@ -80,14 +84,15 @@ impl RouterLp {
                     &self.shared.topo,
                     &mut actions,
                 );
-                self.emit_actions(now, ctx, actions);
+                self.emit_actions(now, ctx, &mut actions);
+                self.actions = actions;
             }
             (ev, _) => unreachable!("unexpected event at router LP: {ev:?}"),
         }
     }
 
-    fn emit_actions(&self, now: SimTime, ctx: &mut Ctx<'_, Event>, actions: Vec<VcAction>) {
-        for a in actions {
+    fn emit_actions(&self, now: SimTime, ctx: &mut Ctx<'_, Event>, actions: &mut Vec<VcAction>) {
+        for a in actions.drain(..) {
             match a {
                 VcAction::Deliver { fwd, pkt } => self.emit_forward(now, ctx, fwd, pkt),
                 VcAction::Credit { router, port, vc, at } => {

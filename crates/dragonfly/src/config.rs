@@ -303,6 +303,32 @@ mod tests {
         assert!(globals(&c2) > globals(&c1));
     }
 
+    /// `SimDuration::transfer_time` takes its ceiling in integers; it must
+    /// agree bit for bit with `f64::ceil` for every packet size up to
+    /// 64 KiB on every link of every bundled configuration.
+    #[test]
+    fn transfer_time_matches_float_ceil_on_every_link() {
+        let configs = [
+            DragonflyConfig::small_1d(),
+            DragonflyConfig::small_2d(),
+            DragonflyConfig::tiny_1d(),
+            DragonflyConfig::tiny_2d(),
+            DragonflyConfig::dragonfly_1d(),
+            DragonflyConfig::dragonfly_2d(),
+        ];
+        for c in &configs {
+            for class in [LinkClass::Terminal, LinkClass::Local, LinkClass::Global] {
+                let bw = c.bandwidth(class);
+                let bytes_per_ns = bw * (1u64 << 30) as f64 / 1e9;
+                for bytes in 1..=64 * 1024u64 {
+                    let want = ((bytes as f64 / bytes_per_ns).ceil() as u64).max(1);
+                    let got = ross::SimDuration::transfer_time(bytes, bw).as_ns();
+                    assert_eq!(got, want, "{bytes} B at {bw} GiB/s");
+                }
+            }
+        }
+    }
+
     #[test]
     fn check_rejects_bad_geometry() {
         let mut c = DragonflyConfig::dragonfly_1d();

@@ -207,20 +207,22 @@ impl Topology {
     }
 
     /// Routers adjacent to both `from` and `to` within a 2D group (the
-    /// two grid corners). Empty for directly connected or 1D routers.
-    pub fn corners(&self, from: RouterId, to: RouterId) -> Vec<RouterId> {
+    /// two grid corners, row-first: `(from's row, to's column)` then
+    /// `(to's row, from's column)`). `None` for directly connected or 1D
+    /// routers.
+    pub fn corners(&self, from: RouterId, to: RouterId) -> Option<[RouterId; 2]> {
         if self.cfg.flavor != Flavor::TwoD {
-            return Vec::new();
+            return None;
         }
         let rpg = self.cfg.routers_per_group();
         if from / rpg != to / rpg || self.local_port_to(from, to).is_some() || from == to {
-            return Vec::new();
+            return None;
         }
         let group_base = (from / rpg) * rpg;
         let (fl, tl) = (from % rpg, to % rpg);
         let (fr, fc) = (fl / self.cfg.cols, fl % self.cfg.cols);
         let (tr, tc) = (tl / self.cfg.cols, tl % self.cfg.cols);
-        vec![group_base + fr * self.cfg.cols + tc, group_base + tr * self.cfg.cols + fc]
+        Some([group_base + fr * self.cfg.cols + tc, group_base + tr * self.cfg.cols + fc])
     }
 
     /// Minimal intra-group hop count between two routers of the same group.
@@ -346,10 +348,15 @@ mod tests {
         assert!(topo.local_port_to(0, 3 * 16).is_some());
         assert!(topo.local_port_to(0, 17).is_none());
         assert_eq!(topo.intra_hops(0, 17), 2);
-        let corners = topo.corners(0, 17);
-        assert_eq!(corners.len(), 2);
-        // Corners are (row 0, col 1) = 1 and (row 1, col 0) = 16.
-        assert!(corners.contains(&1) && corners.contains(&16));
+        // Corners, row-first: (row 0, col 1) = 1, then (row 1, col 0) = 16.
+        assert_eq!(topo.corners(0, 17), Some([1, 16]));
+        assert_eq!(topo.corners(17, 0), Some([16, 1]));
+        // Directly connected, same router, other group: no corners.
+        assert_eq!(topo.corners(0, 5), None);
+        assert_eq!(topo.corners(0, 0), None);
+        assert_eq!(topo.corners(0, topo.cfg.routers_per_group() + 17), None);
+        let one_d = Topology::build(DragonflyConfig::dragonfly_1d());
+        assert_eq!(one_d.corners(0, 1), None);
     }
 
     #[test]

@@ -526,18 +526,18 @@ impl<L: Lp> Simulation<L> {
                                         if top.recv_time.0 >= bound || top.recv_time > until {
                                             break;
                                         }
-                                        let env = queue.pop().unwrap();
+                                        let dst = top.dst;
                                         let hosted_xi: Option<usize> =
-                                            if $mig { hosted.get(&env.dst).copied() } else { None };
+                                            if $mig { hosted.get(&dst).copied() } else { None };
                                         let (slot, meta) = match hosted_xi {
                                             Some(xi) => (&mut xlps[xi], &mut xmetas[xi]),
                                             None => {
-                                                let li = local_of[env.dst as usize] as usize;
+                                                let li = local_of[dst as usize] as usize;
                                                 (&mut lps[li], &mut metas[li])
                                             }
                                         };
                                         let lp = slot.as_mut().expect("resident LP state");
-                                        let stepped = w.step(lp, meta, env, |new| {
+                                        let stepped = w.step(&mut queue, lp, meta, |queue, new| {
                                             let o = owner_of[new.dst as usize] as usize;
                                             let dest = if $mig {
                                                 if o == t {
@@ -575,8 +575,7 @@ impl<L: Lp> Simulation<L> {
                                             }
                                             Hop::Remote
                                         });
-                                        if let Err(env) = stepped {
-                                            queue.push(env);
+                                        if !stepped {
                                             wake_all(t);
                                             break;
                                         }

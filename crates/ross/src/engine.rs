@@ -1,6 +1,6 @@
 //! The `Simulation` container shared by every scheduler.
 
-use crate::event::{Envelope, EventUid, LpId};
+use crate::event::{Envelope, EventHeader, EventUid, LpId};
 use crate::lp::{Ctx, Lp, LpMeta, Outgoing};
 use crate::queue::{EventQueue, PendingQueue, QueueKind};
 use crate::time::{SimDuration, SimTime};
@@ -257,107 +257,65 @@ impl<L: Lp> Simulation<L> {
         let mut stats = RunStats::default();
         let mut out: Vec<Outgoing<L::Event>> = Vec::with_capacity(8);
         let mut clock = SimTime::ZERO;
-        let mut flushed_committed = 0u64;
         let mut tbuf = self.tracer.as_ref().map(|tr| {
             let run = tr.open_run("sequential", 1);
             tr.buf(run, 0)
         });
         let mut tap = crate::live::LiveHandles::from_sim(&self.live, 1).map(|h| h.tap(0));
+        let lookahead = self.lookahead;
+        let n_lps = self.lps.len();
 
-        // Pop directly instead of peek-clone-pop: the one event that lands
-        // beyond `until` is pushed back, every committed event moves once.
-        while let Some(mut env) = self.pending.pop() {
-            if env.recv_time > until {
-                self.pending.push(env);
-                break;
+        // The event beyond `until` is only peeked, so it stays queued. Every
+        // other event is handled where it sits in the queue's envelope pool
+        // and dropped there; only its header comes back out, to seal the
+        // sends into the slot it just freed.
+        while self.pending.peek_time().is_some_and(|t| t <= until) {
+            let (lps, metas) = (&mut self.lps, &mut self.meta);
+            let (head, trace) = self
+                .pending
+                .pop_with(|env| {
+                    let dst = env.dst as usize;
+                    debug_check_monotonic(&mut clock, env.recv_time);
+                    let meta = &mut metas[dst];
+                    debug_assert!(env.recv_time >= meta.now, "causality violation");
+                    meta.now = env.recv_time;
+                    meta.processed += 1;
+                    let trace = tbuf
+                        .as_mut()
+                        .map(|b| (lps[dst].trace_kind(env), b.event_start(), meta.uid_seq));
+                    let mut ctx = Ctx { now: env.recv_time, me: env.dst, lookahead, out: &mut out };
+                    lps[dst].handle(env, &mut ctx);
+                    (EventHeader::from(env), trace)
+                })
+                .expect("peeked event vanished");
+            stats.committed += 1;
+            let meta = &mut self.meta[head.dst as usize];
+            let pending = &mut self.pending;
+            seal_outgoing(head.dst, head.recv_time, meta, &mut out, |new| {
+                debug_assert!((new.dst as usize) < n_lps, "send to unknown LP {}", new.dst);
+                pending.push(new);
+            });
+            if let (Some(b), Some((kind, t0, uid_lo))) = (tbuf.as_mut(), trace) {
+                b.record(head, uid_lo, (meta.uid_seq - uid_lo) as u32, kind, t0);
             }
-            let dst = env.dst as usize;
-            // Same-LP run batching: as long as the *global* minimum event
-            // stays on this LP, keep executing with its state (and meta
-            // line) resident instead of bouncing through the outer loop.
-            // Re-peeking after every handle sees the sends the handler
-            // just queued, so this is exactly sequential order.
-            loop {
-                debug_check_monotonic(&mut clock, env.recv_time);
-                debug_assert!(env.recv_time >= self.meta[dst].now, "causality violation");
-                self.meta[dst].now = env.recv_time;
-                self.meta[dst].processed += 1;
-                let trace = tbuf.as_mut().map(|b| {
-                    (self.lps[dst].trace_kind(&env), b.event_start(), self.meta[dst].uid_seq)
-                });
-
-                let mut ctx = Ctx {
-                    now: env.recv_time,
-                    me: env.dst,
-                    lookahead: self.lookahead,
-                    out: &mut out,
-                };
-                self.lps[dst].handle(&env, &mut ctx);
-                stats.committed += 1;
-
-                for o in out.drain(..) {
-                    let meta = &mut self.meta[dst];
-                    let new = Envelope {
-                        recv_time: env.recv_time + o.delay,
-                        send_time: env.recv_time,
-                        src: env.dst,
-                        dst: o.dst,
-                        tiebreak: meta.tiebreak,
-                        uid: EventUid { src: env.dst, seq: meta.uid_seq },
-                        payload: o.payload,
-                    };
-                    meta.tiebreak += 1;
-                    meta.uid_seq += 1;
-                    debug_assert!(
-                        (o.dst as usize) < self.lps.len(),
-                        "send to unknown LP {}",
-                        o.dst
-                    );
-                    self.pending.push(new);
-                }
-                if let (Some(b), Some((kind, t0, uid_lo))) = (tbuf.as_mut(), trace) {
-                    let children = (self.meta[dst].uid_seq - uid_lo) as u32;
-                    b.record(&env, uid_lo, children, kind, t0);
-                }
-                match self.pending.peek() {
-                    Some(next) if next.dst as usize == dst && next.recv_time <= until => {
-                        env = self.pending.pop().expect("peeked event vanished");
-                    }
-                    Some(next) if next.recv_time <= until => {
-                        // Different LP up next: its per-LP state and model
-                        // struct are random slots in two big arrays — start
-                        // pulling them in while this batch's trace/loop
-                        // bookkeeping retires.
-                        let nd = next.dst as usize;
-                        if nd < self.lps.len() {
-                            crate::pool::prefetch_read(&self.meta[nd]);
-                            crate::pool::prefetch_read(&self.lps[nd]);
-                        }
-                        break;
-                    }
-                    _ => break,
+            // Start pulling in the next event's LP state and meta line
+            // (random slots in two big arrays) while the loop bookkeeping
+            // retires. Its envelope is already on the way: the dequeue
+            // above prefetched its slot.
+            if let Some(next) = self.pending.peek() {
+                let nd = next.dst as usize;
+                if nd < n_lps {
+                    crate::pool::prefetch_read(&self.meta[nd]);
+                    crate::pool::prefetch_read(&self.lps[nd]);
                 }
             }
-            // Live flush at batch granularity, never per event: one branch
-            // per outer iteration keeps the detached cost inside the <2%
-            // overhead gate.
+            // Detached, the live registry costs this one branch per event.
             if let Some(t) = tap.as_mut() {
-                t.commit(stats.committed - flushed_committed);
-                flushed_committed = stats.committed;
+                t.commit(1);
                 if t.pending_committed() >= crate::live::FLUSH_EVERY {
                     t.gvt(clock.as_ns());
                     t.queue_depth(self.pending.len() as u64);
                     t.flush();
-                }
-            }
-            // And one full event of distance: the outer loop pops the next
-            // event immediately, so the event *after* it is the one whose
-            // LP state has a whole handler's worth of time to arrive.
-            if let Some(n2) = self.pending.peek2() {
-                let d2 = n2.dst as usize;
-                if d2 < self.lps.len() {
-                    crate::pool::prefetch_read(&self.meta[d2]);
-                    crate::pool::prefetch_read(&self.lps[d2]);
                 }
             }
         }
@@ -366,7 +324,6 @@ impl<L: Lp> Simulation<L> {
         stats.end_time = clock;
         stats.wall_seconds = start.elapsed().as_secs_f64();
         if let Some(t) = tap.as_mut() {
-            t.commit(stats.committed - flushed_committed);
             t.round();
             t.gvt(clock.as_ns());
             t.queue_depth(self.pending.len() as u64);
@@ -471,8 +428,9 @@ pub(crate) fn debug_check_monotonic(last: &mut SimTime, t: SimTime) {
     *last = t;
 }
 
-/// Helper shared by the parallel schedulers: turn buffered outgoing sends
+/// Helper shared by the schedulers: turn buffered outgoing sends
 /// into envelopes, updating the sender's meta counters.
+#[inline]
 pub(crate) fn seal_outgoing<E>(
     src: LpId,
     send_time: SimTime,

@@ -58,6 +58,32 @@ impl<E> Envelope<E> {
     }
 }
 
+/// The routing and identity fields of an [`Envelope`], without the
+/// tiebreak and payload: what a scheduler still needs after the envelope
+/// was handled in place and dropped in its pool slot (sealing the sends,
+/// tracing).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct EventHeader {
+    pub recv_time: SimTime,
+    pub send_time: SimTime,
+    pub src: LpId,
+    pub dst: LpId,
+    pub uid: EventUid,
+}
+
+impl<E> From<&Envelope<E>> for EventHeader {
+    #[inline]
+    fn from(env: &Envelope<E>) -> Self {
+        EventHeader {
+            recv_time: env.recv_time,
+            send_time: env.send_time,
+            src: env.src,
+            dst: env.dst,
+            uid: env.uid,
+        }
+    }
+}
+
 /// The comparable portion of an [`Envelope`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub struct EventKey {

@@ -87,7 +87,7 @@ pub mod trace;
 mod worker;
 
 pub use engine::{RunStats, Simulation};
-pub use event::{Envelope, EventKey, EventUid, LpId};
+pub use event::{Envelope, EventHeader, EventKey, EventUid, LpId};
 pub use lp::{Ctx, Lp};
 pub use optimistic::OptimisticConfig;
 pub use partition::Partition;

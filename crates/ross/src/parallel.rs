@@ -157,32 +157,29 @@ impl<L: Lp> Simulation<L> {
                                 if top.recv_time.0 >= window_end {
                                     break;
                                 }
-                                let env = lane.queue.pop().unwrap();
                                 // gmin is a shared-memory GVT.
                                 #[cfg(union_check)]
-                                worker::assert_gvt_floor(&env, gmin);
-                                let li = local_of[env.dst as usize] as usize;
-                                let queue = &mut lane.queue;
-                                let stepped =
-                                    w.step(&mut lane.lps[li], &mut lane.metas[li], env, |new| {
-                                        let o = owner_of[new.dst as usize] as usize;
-                                        if o == t {
-                                            queue.push(new);
-                                            return Hop::Local;
-                                        }
-                                        let c = &mut chunks[o];
-                                        c.push(new);
-                                        if c.len() >= MAILBOX_CHUNK {
-                                            let full = std::mem::replace(
-                                                c,
-                                                spare_chunks.pop().unwrap_or_default(),
-                                            );
-                                            mailboxes[o].push(full);
-                                        }
-                                        Hop::Remote
-                                    });
-                                if let Err(env) = stepped {
-                                    lane.queue.push(env);
+                                worker::assert_gvt_floor(top, gmin);
+                                let li = local_of[top.dst as usize] as usize;
+                                let (lp, meta) = (&mut lane.lps[li], &mut lane.metas[li]);
+                                let stepped = w.step(&mut lane.queue, lp, meta, |queue, new| {
+                                    let o = owner_of[new.dst as usize] as usize;
+                                    if o == t {
+                                        queue.push(new);
+                                        return Hop::Local;
+                                    }
+                                    let c = &mut chunks[o];
+                                    c.push(new);
+                                    if c.len() >= MAILBOX_CHUNK {
+                                        let full = std::mem::replace(
+                                            c,
+                                            spare_chunks.pop().unwrap_or_default(),
+                                        );
+                                        mailboxes[o].push(full);
+                                    }
+                                    Hop::Remote
+                                });
+                                if !stepped {
                                     break;
                                 }
                             }

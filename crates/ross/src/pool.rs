@@ -2,12 +2,19 @@
 //!
 //! The pending-event queues keep only a small **hot entry** (timestamp +
 //! slot index) in their sorted structures; the full [`Envelope`] — routing
-//! fields, uid, model payload — parks here until the event is popped.
+//! fields, uid, model payload — parks here until the event is dequeued.
 //! Slots are recycled through a free list, so once the simulation's event
 //! population has peaked (`high_water`), the steady state performs **zero
-//! heap allocations per event**: push reuses a freed slot, pop frees it
-//! again, and the rollback re-insertions of the optimistic scheduler go
+//! heap allocations per event**: push reuses a freed slot, dequeue frees
+//! it again, and the rollback re-insertions of the optimistic scheduler go
 //! through exactly the same recycle path.
+//!
+//! An envelope is written once, when it parks. The conservative and
+//! sequential schedulers then handle it where it sits
+//! ([`EventPool::read_release`] behind `EventQueue::pop_with`) and drop it
+//! in its slot, so a 136-byte CODES envelope is never copied back out;
+//! only the optimistic scheduler, whose rollback history owns its events,
+//! moves envelopes out with [`EventPool::take`].
 //!
 //! Separating hot from cold also makes the queues cache-conscious: rung
 //! buckets and heap nodes sort 24/48-byte keys instead of moving whole
@@ -96,6 +103,35 @@ impl<E> EventPool<E> {
         env
     }
 
+    /// Drop the envelope in live `slot` where it lies and recycle the
+    /// slot. Cannot panic, so it may run from a drop guard.
+    #[inline]
+    fn release(&mut self, slot: u32) {
+        self.slots[slot as usize] = None;
+        self.live -= 1;
+        self.free.push(slot);
+    }
+
+    /// Call `f` on the envelope in `slot`, then [`EventPool::release`] it
+    /// — also when `f` unwinds, so a model panic caught by a scheduler
+    /// leaves the pool's population in step with its queue.
+    #[inline]
+    pub(crate) fn read_release<R>(&mut self, slot: u32, f: impl FnOnce(&Envelope<E>) -> R) -> R {
+        struct Release<'a, E> {
+            pool: &'a mut EventPool<E>,
+            slot: u32,
+        }
+        impl<E> Drop for Release<'_, E> {
+            #[inline]
+            fn drop(&mut self) {
+                self.pool.release(self.slot);
+            }
+        }
+        assert!(self.slots[slot as usize].is_some(), "pool slot already empty");
+        let guard = Release { pool: self, slot };
+        f(guard.pool.get(slot))
+    }
+
     /// Borrow the envelope in `slot` (peek / tie comparisons).
     #[inline]
     pub(crate) fn get(&self, slot: u32) -> &Envelope<E> {
@@ -158,12 +194,38 @@ mod tests {
     }
 
     #[test]
+    fn read_release_recycles_the_slot_even_on_unwind() {
+        let mut p = EventPool::new();
+        let a = p.insert(env(1));
+        assert_eq!(p.read_release(a, |e| e.payload), 1000);
+        assert_eq!(p.len(), 0);
+        let b = p.insert(env(2));
+        assert_eq!(b, a, "released slot is reused");
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            p.read_release(b, |_| panic!("model panic"));
+        }));
+        assert!(caught.is_err());
+        assert_eq!(p.len(), 0);
+        assert_eq!(p.insert(env(3)), a);
+        assert_eq!(p.stats(), PoolStats { high_water: 1, recycled: 2 });
+    }
+
+    #[test]
     #[should_panic(expected = "already empty")]
     fn double_take_is_caught() {
         let mut p = EventPool::new();
         let a = p.insert(env(1));
         p.take(a);
         p.take(a);
+    }
+
+    #[test]
+    #[should_panic(expected = "already empty")]
+    fn read_after_release_is_caught() {
+        let mut p = EventPool::new();
+        let a = p.insert(env(1));
+        p.read_release(a, |_| ());
+        p.read_release(a, |_| ());
     }
 
     #[test]

@@ -397,36 +397,33 @@ impl<L: Lp> Simulation<L> {
                                 if top.recv_time.0 >= wend {
                                     break;
                                 }
-                                let env = lane.queue.pop().unwrap();
                                 #[cfg(union_check)]
                                 worker::assert_gvt_floor(
-                                    &env,
+                                    top,
                                     gvt_oracle.load(std::sync::atomic::Ordering::Relaxed),
                                 );
-                                let li = wlocal_of[env.dst as usize] as usize;
-                                let queue = &mut lane.queue;
-                                let stepped =
-                                    w.step(&mut lane.lps[li], &mut lane.metas[li], env, |new| {
-                                        let s = shard_of[new.dst as usize] as usize;
-                                        if s != me {
-                                            let c = &mut xchunks[s];
-                                            c.push(new);
-                                            if c.len() >= crate::parallel::MAILBOX_CHUNK {
-                                                outboxes[s].lock().append(c);
-                                            }
-                                            return Hop::Shard;
+                                let li = wlocal_of[top.dst as usize] as usize;
+                                let (lp, meta) = (&mut lane.lps[li], &mut lane.metas[li]);
+                                let stepped = w.step(&mut lane.queue, lp, meta, |queue, new| {
+                                    let s = shard_of[new.dst as usize] as usize;
+                                    if s != me {
+                                        let c = &mut xchunks[s];
+                                        c.push(new);
+                                        if c.len() >= crate::parallel::MAILBOX_CHUNK {
+                                            outboxes[s].lock().append(c);
                                         }
-                                        let wk = worker_of[new.dst as usize] as usize;
-                                        if wk == t {
-                                            queue.push(new);
-                                            Hop::Local
-                                        } else {
-                                            mailboxes[wk].push(new);
-                                            Hop::Remote
-                                        }
-                                    });
-                                if let Err(env) = stepped {
-                                    lane.queue.push(env);
+                                        return Hop::Shard;
+                                    }
+                                    let wk = worker_of[new.dst as usize] as usize;
+                                    if wk == t {
+                                        queue.push(new);
+                                        Hop::Local
+                                    } else {
+                                        mailboxes[wk].push(new);
+                                        Hop::Remote
+                                    }
+                                });
+                                if !stepped {
                                     break;
                                 }
                             }

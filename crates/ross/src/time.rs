@@ -101,12 +101,20 @@ impl SimDuration {
 
     /// The serialization delay of `bytes` over a link of `gib_per_s` GiB/s,
     /// rounded up to whole nanoseconds (never zero for nonzero payloads).
+    ///
+    /// The ceiling is taken in integers: `f64::ceil` lowers to a soft-float
+    /// library call on baseline x86-64 (no SSE4.1 `roundsd`), and this runs
+    /// on every packet hop. Truncation then a compare is exact for every
+    /// quotient in `[0, 2^64)`.
+    #[inline]
     pub fn transfer_time(bytes: u64, gib_per_s: f64) -> SimDuration {
         if bytes == 0 {
             return SimDuration::ZERO;
         }
         let bytes_per_ns = gib_per_s * (1u64 << 30) as f64 / 1e9;
-        let ns = (bytes as f64 / bytes_per_ns).ceil() as u64;
+        let q = bytes as f64 / bytes_per_ns;
+        let t = q as u64;
+        let ns = if (t as f64) < q { t + 1 } else { t };
         SimDuration(ns.max(1))
     }
 }

@@ -39,7 +39,7 @@
 //! and once the budget is gone records are counted as dropped rather
 //! than allocated.
 
-use crate::event::{Envelope, EventUid};
+use crate::event::{EventHeader, EventUid};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, AtomicU32, AtomicU64, Ordering};
@@ -596,13 +596,14 @@ impl TraceBuf {
         }
     }
 
-    /// Record one executed event. `uid_lo` is the destination LP's
+    /// Record one executed event (an envelope, or its header when the
+    /// envelope was handled in place). `uid_lo` is the destination LP's
     /// `uid_seq` before the handler ran, `children` the number of sends
     /// it sealed, `t0` the instant from [`TraceBuf::event_start`].
     #[inline]
-    pub fn record<E>(
+    pub fn record(
         &mut self,
-        env: &Envelope<E>,
+        ev: impl Into<EventHeader>,
         uid_lo: u64,
         children: u32,
         kind: u16,
@@ -623,14 +624,15 @@ impl TraceBuf {
         if !self.take_event_credit() {
             return;
         }
+        let ev = ev.into();
         self.events.push(TraceEvent {
-            lp: env.dst,
-            src: env.src,
+            lp: ev.dst,
+            src: ev.src,
             kind,
-            recv_ns: env.recv_time.as_ns(),
-            send_ns: env.send_time.as_ns(),
-            uid_src: env.uid.src,
-            uid_seq: env.uid.seq,
+            recv_ns: ev.recv_time.as_ns(),
+            send_ns: ev.send_time.as_ns(),
+            uid_src: ev.uid.src,
+            uid_seq: ev.uid.seq,
             child_lo: uid_lo,
             children,
             dur_ns,
@@ -692,6 +694,7 @@ impl TraceBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::Envelope;
     use crate::time::SimTime;
 
     fn env(dst: u32, src: u32, recv: u64, send: u64, seq: u64) -> Envelope<()> {

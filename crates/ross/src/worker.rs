@@ -17,7 +17,7 @@
 //!   record.
 
 use crate::engine::{emit_sched_telemetry, seal_outgoing, QueueTelemetry, RunStats, Simulation};
-use crate::event::Envelope;
+use crate::event::{Envelope, EventHeader};
 use crate::live::{LiveHandles, LiveTap};
 use crate::lp::{Ctx, Lp, LpMeta, Outgoing};
 use crate::partition::Partition;
@@ -348,53 +348,61 @@ pub(crate) struct Worker<'r, L: Lp> {
 }
 
 impl<L: Lp> Worker<'_, L> {
-    /// Execute `env` on its LP and seal the sends through `route`.
-    /// Returns the event untouched on a lookahead violation (an arrival
-    /// in the LP's past, so the window exceeded the model's true minimum
-    /// send delay): the caller puts it back and stops processing.
+    /// Execute the least event of `queue` on its LP, where it sits in the
+    /// queue's envelope pool, and seal the sends through `route`, which is
+    /// handed the same queue for local deliveries. The caller peeked the
+    /// event to find its `lp` and `meta`. Returns `false` on a lookahead
+    /// violation (an arrival in the LP's past, so the window exceeded the
+    /// model's true minimum send delay), with the event still queued: the
+    /// caller stops processing.
     #[inline]
     pub(crate) fn step(
         &mut self,
+        queue: &mut PendingQueue<L::Event>,
         lp: &mut L,
         meta: &mut LpMeta,
-        env: Envelope<L::Event>,
-        mut route: impl FnMut(Envelope<L::Event>) -> Hop,
-    ) -> Result<(), Envelope<L::Event>> {
-        if env.recv_time < meta.now {
+        mut route: impl FnMut(&mut PendingQueue<L::Event>, Envelope<L::Event>) -> Hop,
+    ) -> bool {
+        let at = queue.peek_time().expect("step on an empty queue");
+        if at < meta.now {
+            let dst = queue.peek().map_or(0, |e| e.dst);
             let mut v = self.run.violation.lock();
             v.get_or_insert_with(|| {
                 format!(
-                    "lookahead violation: event for LP {} at {} ns arrived after the LP reached \
+                    "lookahead violation: event for LP {dst} at {} ns arrived after the LP reached \
                      {} ns; lookahead {} ns exceeds the model's minimum send delay",
-                    env.dst, env.recv_time.0, meta.now.0, self.run.window.0,
+                    at.0, meta.now.0, self.run.window.0,
                 )
             });
             self.run.violated.store(true, Ordering::SeqCst);
-            return Err(env);
+            return false;
         }
         let r = &mut self.report;
-        r.clock = r.clock.max(env.recv_time.0);
-        meta.now = env.recv_time;
-        meta.processed += 1;
-        let trace =
-            self.tbuf.as_mut().map(|b| (lp.trace_kind(&env), b.event_start(), meta.uid_seq));
-        let mut ctx = Ctx {
-            now: env.recv_time,
-            me: env.dst,
-            lookahead: self.run.lookahead,
-            out: &mut self.out,
-        };
-        lp.handle(&env, &mut ctx);
+        r.clock = r.clock.max(at.0);
+        let (tbuf, out, lookahead) = (&mut self.tbuf, &mut self.out, self.run.lookahead);
+        let (head, trace) = queue
+            .pop_with(|env| {
+                meta.now = env.recv_time;
+                meta.processed += 1;
+                let trace =
+                    tbuf.as_mut().map(|b| (lp.trace_kind(env), b.event_start(), meta.uid_seq));
+                let mut ctx = Ctx { now: env.recv_time, me: env.dst, lookahead, out };
+                lp.handle(env, &mut ctx);
+                (EventHeader::from(env), trace)
+            })
+            .expect("peeked event vanished");
         r.committed += 1;
-        seal_outgoing(env.dst, env.recv_time, meta, &mut self.out, |new| match route(new) {
-            Hop::Local => {}
-            Hop::Remote => r.remote += 1,
-            Hop::Shard => r.cross_shard += 1,
+        seal_outgoing(head.dst, head.recv_time, meta, &mut self.out, |new| {
+            match route(queue, new) {
+                Hop::Local => {}
+                Hop::Remote => r.remote += 1,
+                Hop::Shard => r.cross_shard += 1,
+            }
         });
         if let (Some(b), Some((kind, t0, uid_lo))) = (self.tbuf.as_mut(), trace) {
-            b.record(&env, uid_lo, (meta.uid_seq - uid_lo) as u32, kind, t0);
+            b.record(head, uid_lo, (meta.uid_seq - uid_lo) as u32, kind, t0);
         }
-        Ok(())
+        true
     }
 
     /// Start of a timed phase: the current instant when telemetry or a
@@ -457,5 +465,97 @@ impl<L: Lp> Worker<'_, L> {
         tap.steal(now[3] - s);
         self.flushed = now;
         Some(tap)
+    }
+}
+
+#[cfg(all(test, not(union_check)))]
+mod tests {
+    use super::*;
+    use crate::event::EventUid;
+    use crate::queue::QueueKind;
+
+    /// Counts its events; one with payload 0 wakes itself 100 ns later.
+    struct Count(u64);
+
+    impl Lp for Count {
+        type Event = u64;
+        fn handle(&mut self, ev: &Envelope<u64>, ctx: &mut Ctx<'_, u64>) {
+            self.0 += 1;
+            if ev.payload == 0 {
+                ctx.send_self(SimDuration::from_ns(100), 7);
+            }
+        }
+    }
+
+    fn env(recv: u64, seq: u64) -> Envelope<u64> {
+        Envelope {
+            recv_time: SimTime(recv),
+            send_time: SimTime(0),
+            src: 0,
+            dst: 0,
+            tiebreak: seq,
+            uid: EventUid { src: 0, seq },
+            payload: seq * 1000,
+        }
+    }
+
+    /// The violation check runs on the peeked event, so nothing is popped
+    /// and pushed back: the queue keeps its length, its op and pool
+    /// counters, and the exact events it held, in order.
+    #[test]
+    fn lookahead_violation_found_at_peek_leaves_the_queue_intact() {
+        for kind in [QueueKind::Heap, QueueKind::Ladder] {
+            let sim = Simulation::with_queue(vec![Count(0)], SimDuration::from_ns(1), kind);
+            let window = SimDuration::from_ns(50);
+            let run = Run::open(&sim, "test", 1, window, Instant::now(), false);
+            let mut w = run.worker(0);
+            let mut queue = kind.new_queue();
+            for (seq, recv) in [30u64, 40, 50].into_iter().enumerate() {
+                queue.push(env(recv, seq as u64));
+            }
+            let (ops, pool) = (queue.ops(), queue.pool_stats());
+            let mut lp = Count(0);
+            let mut meta = LpMeta::new();
+            meta.now = SimTime(35);
+
+            assert!(!w.step(&mut queue, &mut lp, &mut meta, |_, _| Hop::Local), "{kind:?}");
+            assert!(run.halted());
+            let msg = run.violation.lock().take().expect("violation recorded");
+            assert!(msg.contains("event for LP 0 at 30 ns arrived after the LP reached 35 ns"));
+            assert_eq!((lp.0, meta.processed, w.report.committed), (0, 0, 0));
+            assert_eq!(queue.len(), 3);
+            assert_eq!(queue.ops(), ops, "{kind:?}: popped and pushed back");
+            assert_eq!(queue.pool_stats(), pool);
+            let left: Vec<_> =
+                std::iter::from_fn(|| queue.pop_with(|e| (e.recv_time.0, e.uid.seq, e.payload)))
+                    .collect();
+            assert_eq!(left, [(30, 0, 0), (40, 1, 1000), (50, 2, 2000)], "{kind:?}");
+        }
+    }
+
+    /// An admissible event is handled in place, and its slot is free again
+    /// by the time the send it made is sealed into the same queue.
+    #[test]
+    fn step_handles_the_head_event_in_place() {
+        let sim = Simulation::new(vec![Count(0)], SimDuration::from_ns(1));
+        let run = Run::open(&sim, "test", 1, SimDuration::from_ns(50), Instant::now(), false);
+        let mut w = run.worker(0);
+        let mut queue = QueueKind::Ladder.new_queue();
+        queue.push(env(30, 0));
+        queue.push(env(40, 1));
+        let mut lp = Count(0);
+        let mut meta = LpMeta::new();
+        let local = |q: &mut PendingQueue<u64>, new| {
+            q.push(new);
+            Hop::Local
+        };
+        assert!(w.step(&mut queue, &mut lp, &mut meta, local));
+        assert_eq!((lp.0, meta.processed, meta.now), (1, 1, SimTime(30)));
+        assert_eq!((w.report.committed, w.report.clock), (1, 30));
+        assert_eq!(queue.pool_stats(), PoolStats { high_water: 2, recycled: 1 });
+        let left: Vec<_> =
+            std::iter::from_fn(|| queue.pop_with(|e| (e.recv_time.0, e.payload))).collect();
+        assert_eq!(left, [(40, 1000), (130, 7)]);
+        assert!(!run.halted());
     }
 }

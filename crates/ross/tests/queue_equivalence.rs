@@ -3,7 +3,8 @@
 //! any stream of envelopes — including equal-`recv_time` collisions that
 //! fall through to the `(send_time, src, tiebreak)` tiebreaks, and
 //! interleaved push/pop patterns that exercise the ladder's frontier
-//! (insertions below, inside, and above the current era).
+//! (insertions below, inside, and above the current era). The in-place
+//! dequeue `pop_with` must match the owning `pop` on both queues.
 
 use proptest::prelude::*;
 use ross::queue::{BinaryHeapQueue, LadderQueue};
@@ -47,12 +48,87 @@ fn env(rng: &mut Mix, seq: u64, base: u64, time_span: u64) -> Envelope<u64> {
 /// Identity of one dequeued event, payload included: equal fingerprints
 /// mean the queues returned the *same event object*, not merely an
 /// equally-keyed one.
-fn print(e: &Envelope<u64>) -> (u64, u64, u32, u64, u32, u64, u64) {
+fn print(e: &Envelope<u64>) -> Print {
     (e.recv_time.0, e.send_time.0, e.src, e.tiebreak, e.uid.src, e.uid.seq, e.payload)
+}
+
+type Print = (u64, u64, u32, u64, u32, u64, u64);
+
+/// Dequeue one event from `owning` with `pop` and from `in_place` with
+/// `pop_with` (after its slab-free `peek_time`); both must be the same
+/// event, payload included.
+fn pop_pair<Q: EventQueue<u64>>(owning: &mut Q, in_place: &mut Q) -> Option<Print> {
+    let want = owning.pop().map(|e| print(&e));
+    assert_eq!(in_place.peek_time(), want.map(|p| SimTime(p.0)));
+    assert_eq!(in_place.pop_with(print), want);
+    want
+}
+
+/// Owning and in-place dequeue of one stream, on each queue.
+#[derive(Default)]
+struct Quad {
+    heap: (BinaryHeapQueue<u64>, BinaryHeapQueue<u64>),
+    ladder: (LadderQueue<u64>, LadderQueue<u64>),
+}
+
+impl Quad {
+    fn push(&mut self, e: Envelope<u64>) {
+        self.heap.0.push(e.clone());
+        self.heap.1.push(e.clone());
+        self.ladder.0.push(e.clone());
+        self.ladder.1.push(e);
+    }
+
+    /// The next event, the same from all four.
+    fn pop(&mut self) -> Option<Print> {
+        let h = pop_pair(&mut self.heap.0, &mut self.heap.1);
+        assert_eq!(pop_pair(&mut self.ladder.0, &mut self.ladder.1), h);
+        h
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// In-place dequeue: `pop_with` hands its closure exactly the event
+    /// `pop` returns, on the heap and on the ladder, and both orders
+    /// agree across the two queues. Pushes between dequeues land in the
+    /// slots in-place releases just freed, so equal payloads and equal
+    /// pool counters show a released slot is reused exactly like a taken
+    /// one and never serves a stale envelope.
+    #[test]
+    fn pop_with_and_pop_dequeue_identically(
+        seed in 0u64..u64::MAX,
+        n_ops in 50usize..300,
+        time_span in 1u64..500,
+    ) {
+        let mut rng = Mix(seed);
+        let mut q = Quad::default();
+        let mut seq = 0u64;
+        let mut base = 0u64;
+        for _ in 0..n_ops {
+            if rng.below(2) == 0 {
+                for _ in 0..rng.below(12) + 1 {
+                    q.push(env(&mut rng, seq, base, time_span));
+                    seq += 1;
+                }
+            } else {
+                for _ in 0..rng.below(8) + 1 {
+                    if let Some(p) = q.pop() {
+                        base = p.0.saturating_sub(time_span / 2);
+                    }
+                }
+            }
+            prop_assert_eq!(q.heap.1.len(), q.heap.0.len());
+            prop_assert_eq!(q.ladder.1.len(), q.ladder.0.len());
+            prop_assert_eq!(q.heap.1.pool_stats(), q.heap.0.pool_stats());
+            prop_assert_eq!(q.ladder.1.pool_stats(), q.ladder.0.pool_stats());
+            prop_assert_eq!(q.ladder.1.ops(), q.ladder.0.ops());
+        }
+        while q.pop().is_some() {}
+        prop_assert_eq!(q.heap.1.pool_stats(), q.heap.0.pool_stats());
+        prop_assert_eq!(q.ladder.1.pool_stats(), q.ladder.0.pool_stats());
+    }
 
     /// Feed the identical random stream — mixed bulk pushes, interleaved
     /// pops, and occasional full drains — into both queues; every pop
