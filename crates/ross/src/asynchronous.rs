@@ -85,6 +85,7 @@ use crate::queue::{EventQueue, PendingQueue};
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use crate::sync::{mpsc, thread};
 use crate::time::{SimDuration, SimTime};
+use crate::trace::SpanKind;
 use crate::worker::{self, Hop, Lane, Run};
 use std::collections::HashMap;
 /// A victim must have at least this many queued events before a steal
@@ -283,7 +284,9 @@ impl<L: Lp> Simulation<L> {
                         if done.load(Ordering::SeqCst) || run.halted() {
                             break;
                         }
-                        w.report.rounds += 1;
+                        if leader {
+                            w.report.rounds += 1;
+                        }
                         let mut progressed = false;
 
                         // (1) Processing bound: min over peer horizons.
@@ -526,7 +529,7 @@ impl<L: Lp> Simulation<L> {
                                         if top.recv_time.0 >= bound || top.recv_time > until {
                                             break;
                                         }
-                                        let dst = top.dst;
+                                        let (at, dst) = (top.recv_time, top.dst);
                                         let hosted_xi: Option<usize> =
                                             if $mig { hosted.get(&dst).copied() } else { None };
                                         let (slot, meta) = match hosted_xi {
@@ -537,25 +540,25 @@ impl<L: Lp> Simulation<L> {
                                             }
                                         };
                                         let lp = slot.as_mut().expect("resident LP state");
-                                        let stepped = w.step(&mut queue, lp, meta, |queue, new| {
+                                        let stepped = w.step(&mut queue, at, lp, meta, |q, new| {
                                             let o = owner_of[new.dst as usize] as usize;
                                             let dest = if $mig {
                                                 if o == t {
                                                     match away.get(&new.dst) {
                                                         None => {
-                                                            queue.push(new);
+                                                            q.push(new);
                                                             return Hop::Local;
                                                         }
                                                         Some(&thief) => thief,
                                                     }
                                                 } else if hosted.contains_key(&new.dst) {
-                                                    queue.push(new);
+                                                    q.push(new);
                                                     return Hop::Local;
                                                 } else {
                                                     o
                                                 }
                                             } else if o == t {
-                                                queue.push(new);
+                                                q.push(new);
                                                 return Hop::Local;
                                             } else {
                                                 o
@@ -671,16 +674,13 @@ impl<L: Lp> Simulation<L> {
                         // Live flush: barrier-free, so cadence is committed
                         // volume rather than rounds. One branch per outer
                         // iteration when detached.
-                        if w.tap.is_some() && w.unflushed_committed() >= crate::live::FLUSH_EVERY {
-                            let lag = w.report.lag;
-                            if let Some(tp) = w.live() {
+                        if w.unpublished().is_some_and(|n| n >= crate::live::FLUSH_EVERY) {
+                            w.publish(|tp| {
                                 if leader {
                                     tp.gvt(published.min(bound));
                                 }
-                                tp.lag(lag);
                                 tp.queue_depth(queue.len() as u64);
-                                tp.flush();
-                            }
+                            });
                         }
 
                         if progressed {
@@ -750,14 +750,11 @@ impl<L: Lp> Simulation<L> {
                             std::hint::spin_loop();
                             continue 'outer;
                         }
-                        // About to go quiet: flush whatever the volume
+                        // About to go quiet: publish the work the volume
                         // cadence has not pushed yet, so a parked gang
-                        // still exposes exact cumulative counts.
-                        if w.unflushed() {
-                            if let Some(tp) = w.live() {
-                                tp.queue_depth(queue.len() as u64);
-                                tp.flush();
-                            }
+                        // still exposes exact committed counts.
+                        if w.unpublished().is_some_and(|n| n > 0) {
+                            w.publish(|tp| tp.queue_depth(queue.len() as u64));
                         }
                         // Park. Flag first, then re-check every wake
                         // condition (Dekker handshake with the wakers).
@@ -810,15 +807,12 @@ impl<L: Lp> Simulation<L> {
                             // timeout wake.
                             let _ = rx.recv_timeout(std::time::Duration::from_millis(10));
                         }
-                        w.stalled(t0);
+                        w.stalled(t0, SpanKind::Barrier);
                         parked[t].store(false, Ordering::SeqCst);
                         // Eat stale tokens so one park consumes one token
                         // in steady state; conditions are re-read at the
                         // loop top regardless.
                         while rx.try_recv().is_ok() {}
-                    }
-                    if let Some(tp) = w.tap.as_ref() {
-                        tp.lag(w.report.lag);
                     }
                     // Hand back every LP hosted here, tagged with its
                     // global id (migration means this need not match the

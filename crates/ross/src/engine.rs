@@ -1,9 +1,11 @@
 //! The `Simulation` container shared by every scheduler.
 
-use crate::event::{Envelope, EventHeader, EventUid, LpId};
-use crate::lp::{Ctx, Lp, LpMeta, Outgoing};
+use crate::event::{Envelope, EventUid, LpId};
+use crate::lp::{Lp, LpMeta, Outgoing};
 use crate::queue::{EventQueue, PendingQueue, QueueKind};
 use crate::time::{SimDuration, SimTime};
+use crate::worker::{Hop, Run};
+use std::time::Instant;
 
 /// Statistics returned by a scheduler run.
 #[derive(Clone, Debug, Default)]
@@ -29,13 +31,15 @@ pub struct RunStats {
     /// Events delivered across OS-process shards through a transport
     /// ([`crate::shard`] runs only).
     pub cross_shard_events: u64,
-    /// Synchronization rounds (conservative windows or GVT epochs).
+    /// Synchronization rounds (conservative windows, GVT epochs or shard
+    /// fences; 1 for a sequential run), or the conservative-async
+    /// scheduler's scheduling iterations — as worker 0 counts them.
     pub rounds: u64,
     /// LP blocks migrated between workers by work stealing
     /// (conservative-async scheduler only).
     pub steals: u64,
-    /// Total nanoseconds workers spent stalled waiting for peer safe
-    /// horizons to advance (conservative-async scheduler only).
+    /// Total nanoseconds workers spent stalled at barriers or waiting for
+    /// peer safe horizons to advance (0 on the sequential path).
     pub horizon_stall_ns: u64,
     /// Max observed gap between the most- and least-advanced published
     /// safe horizons (conservative-async scheduler only).
@@ -84,7 +88,7 @@ pub struct Simulation<L: Lp> {
     /// parallel schedulers build) uses.
     pub(crate) queue: QueueKind,
     pub(crate) lookahead: SimDuration,
-    /// Co-location hint for the conservative-parallel scheduler.
+    /// Co-location hint for the conservative schedulers.
     pub(crate) partition: Option<crate::partition::Partition>,
     /// Telemetry sink; every scheduler emits one record per run when set.
     pub(crate) telemetry: Option<std::sync::Arc<telemetry::Recorder>>,
@@ -183,11 +187,12 @@ impl<L: Lp> Simulation<L> {
         self.live.as_ref()
     }
 
-    /// Install a co-location hint for
-    /// [`Simulation::run_conservative_parallel`]: LPs sharing a block
-    /// are guaranteed to run on the same worker thread. Has no effect on
-    /// results (only on cross-thread traffic), and no effect on the
-    /// other schedulers.
+    /// Install a co-location hint for the conservative schedulers
+    /// ([`Simulation::run_conservative_parallel`],
+    /// [`Simulation::run_conservative_async`] and the shard gang's
+    /// [`crate::shard::shard_owner_map`]): LPs sharing a block are packed
+    /// onto the same worker thread (or shard). Has no effect on results,
+    /// only on cross-thread traffic; the optimistic scheduler ignores it.
     pub fn set_partition(&mut self, partition: crate::partition::Partition) {
         assert_eq!(
             partition.n_lps(),
@@ -252,170 +257,53 @@ impl<L: Lp> Simulation<L> {
     /// Run with the single-threaded reference scheduler until the event
     /// queue drains or the next event is after `until`. Events beyond
     /// `until` remain pending.
+    ///
+    /// A one-worker run of the shared worker core: every event is handled
+    /// where it sits in the pending queue's envelope pool, on the LPs in
+    /// place — no lanes to split or reassemble.
     pub fn run_sequential(&mut self, until: SimTime) -> RunStats {
-        let start = std::time::Instant::now();
-        let mut stats = RunStats::default();
-        let mut out: Vec<Outgoing<L::Event>> = Vec::with_capacity(8);
-        let mut clock = SimTime::ZERO;
-        let mut tbuf = self.tracer.as_ref().map(|tr| {
-            let run = tr.open_run("sequential", 1);
-            tr.buf(run, 0)
-        });
-        let mut tap = crate::live::LiveHandles::from_sim(&self.live, 1).map(|h| h.tap(0));
-        let lookahead = self.lookahead;
+        let run = Run::solo(self, "sequential", 1, self.lookahead, Instant::now(), true);
+        let mut w = run.worker(0);
         let n_lps = self.lps.len();
-
-        // The event beyond `until` is only peeked, so it stays queued. Every
-        // other event is handled where it sits in the queue's envelope pool
-        // and dropped there; only its header comes back out, to seal the
-        // sends into the slot it just freed.
-        while self.pending.peek_time().is_some_and(|t| t <= until) {
-            let (lps, metas) = (&mut self.lps, &mut self.meta);
-            let (head, trace) = self
-                .pending
-                .pop_with(|env| {
-                    let dst = env.dst as usize;
-                    debug_check_monotonic(&mut clock, env.recv_time);
-                    let meta = &mut metas[dst];
-                    debug_assert!(env.recv_time >= meta.now, "causality violation");
-                    meta.now = env.recv_time;
-                    meta.processed += 1;
-                    let trace = tbuf
-                        .as_mut()
-                        .map(|b| (lps[dst].trace_kind(env), b.event_start(), meta.uid_seq));
-                    let mut ctx = Ctx { now: env.recv_time, me: env.dst, lookahead, out: &mut out };
-                    lps[dst].handle(env, &mut ctx);
-                    (EventHeader::from(env), trace)
-                })
-                .expect("peeked event vanished");
-            stats.committed += 1;
-            let meta = &mut self.meta[head.dst as usize];
-            let pending = &mut self.pending;
-            seal_outgoing(head.dst, head.recv_time, meta, &mut out, |new| {
+        let mut clock = SimTime::ZERO;
+        let t0 = w.clock();
+        // One peek per event: the header it reads both gates the loop and
+        // prefetches the next LP, while the event beyond `until` stays
+        // queued.
+        let mut next = self.pending.peek().map(|e| (e.recv_time, e.dst as usize));
+        while let Some((at, dst)) = next.filter(|&(at, _)| at <= until) {
+            debug_check_monotonic(&mut clock, at);
+            w.step(&mut self.pending, at, &mut self.lps[dst], &mut self.meta[dst], |q, new| {
                 debug_assert!((new.dst as usize) < n_lps, "send to unknown LP {}", new.dst);
-                pending.push(new);
+                q.push(new);
+                Hop::Local
             });
-            if let (Some(b), Some((kind, t0, uid_lo))) = (tbuf.as_mut(), trace) {
-                b.record(head, uid_lo, (meta.uid_seq - uid_lo) as u32, kind, t0);
-            }
             // Start pulling in the next event's LP state and meta line
             // (random slots in two big arrays) while the loop bookkeeping
             // retires. Its envelope is already on the way: the dequeue
             // above prefetched its slot.
-            if let Some(next) = self.pending.peek() {
-                let nd = next.dst as usize;
-                if nd < n_lps {
-                    crate::pool::prefetch_read(&self.meta[nd]);
-                    crate::pool::prefetch_read(&self.lps[nd]);
-                }
+            next = self.pending.peek().map(|e| (e.recv_time, e.dst as usize));
+            if let Some((_, nd)) = next {
+                crate::pool::prefetch_read(&self.meta[nd]);
+                crate::pool::prefetch_read(&self.lps[nd]);
             }
             // Detached, the live registry costs this one branch per event.
-            if let Some(t) = tap.as_mut() {
-                t.commit(1);
-                if t.pending_committed() >= crate::live::FLUSH_EVERY {
-                    t.gvt(clock.as_ns());
-                    t.queue_depth(self.pending.len() as u64);
-                    t.flush();
-                }
+            if w.unpublished().is_some_and(|n| n >= crate::live::FLUSH_EVERY) {
+                w.publish(|tp| {
+                    tp.gvt(clock.as_ns());
+                    tp.queue_depth(self.pending.len() as u64);
+                });
             }
         }
-
-        stats.rounds = 1;
-        stats.end_time = clock;
-        stats.wall_seconds = start.elapsed().as_secs_f64();
-        if let Some(t) = tap.as_mut() {
-            t.round();
-            t.gvt(clock.as_ns());
-            t.queue_depth(self.pending.len() as u64);
-            t.pool_high_water(self.pending.pool_stats().high_water);
-            t.flush();
-        }
-        let wall_ns = start.elapsed().as_nanos() as u64;
-        if let (Some(tr), Some(buf)) = (self.tracer.as_ref(), tbuf) {
-            let run = buf.run();
-            tr.submit(buf);
-            tr.close_run(run, wall_ns, stats.end_time.as_ns());
-        }
-        emit_sched_telemetry(
-            self.telemetry.as_deref(),
-            "sequential",
-            1,
-            &stats,
-            0,
-            QueueTelemetry {
-                kind: self.queue,
-                ops: self.pending.ops(),
-                max_len: self.pending.max_len(),
-                pool: self.pending.pool_stats(),
-            },
-            vec![telemetry::ThreadRecord {
-                thread: 0,
-                events: stats.committed,
-                busy_ns: wall_ns,
-                ..Default::default()
-            }],
-        );
-        stats
+        w.busy(t0);
+        w.report.rounds = 1;
+        w.publish(|tp| {
+            tp.gvt(clock.as_ns());
+            tp.queue_depth(self.pending.len() as u64);
+        });
+        let report = w.finish(&self.pending);
+        run.fold(self, vec![report])
     }
-}
-
-/// Queue counters folded into a run's scheduler record. The parallel
-/// schedulers sum `ops` (and `pool.recycled`) and take the max of
-/// `max_len` / `pool.high_water` across their per-thread queues.
-pub(crate) struct QueueTelemetry {
-    pub(crate) kind: QueueKind,
-    pub(crate) ops: u64,
-    pub(crate) max_len: u64,
-    pub(crate) pool: crate::pool::PoolStats,
-}
-
-impl QueueTelemetry {
-    /// Identity for folding per-thread queues.
-    pub(crate) fn empty(kind: QueueKind) -> Self {
-        QueueTelemetry { kind, ops: 0, max_len: 0, pool: crate::pool::PoolStats::default() }
-    }
-}
-
-/// Shared tail of every scheduler: fold the run counters and the workers'
-/// thread records into one `scheduler` telemetry record. No-op when no
-/// recorder is attached.
-pub(crate) fn emit_sched_telemetry(
-    telem: Option<&telemetry::Recorder>,
-    name: &str,
-    threads: usize,
-    stats: &RunStats,
-    max_gvt_lag_ns: u64,
-    queue: QueueTelemetry,
-    mut per_thread: Vec<telemetry::ThreadRecord>,
-) {
-    let Some(rec) = telem else { return };
-    let wall_ns = (stats.wall_seconds * 1e9) as u64;
-    per_thread.sort_by_key(|t| t.thread);
-    for t in per_thread.iter_mut() {
-        t.idle_ns = wall_ns.saturating_sub(t.busy_ns + t.blocked_ns);
-    }
-    let mut r = telemetry::SchedulerRecord::new(name, threads);
-    r.queue = queue.kind.label().to_string();
-    r.queue_ops = queue.ops;
-    r.queue_max_len = queue.max_len;
-    r.pool_high_water = queue.pool.high_water;
-    r.pool_recycled = queue.pool.recycled;
-    r.committed = stats.committed;
-    r.rolled_back = stats.rolled_back;
-    r.rollbacks = stats.rollbacks;
-    r.anti_messages = stats.anti_messages;
-    r.annihilated = stats.annihilated;
-    r.remote_events = stats.remote_events;
-    r.cross_shard_events = stats.cross_shard_events;
-    r.rounds = stats.rounds;
-    r.steals = stats.steals;
-    r.horizon_stall_ns = stats.horizon_stall_ns;
-    r.horizon_lag_max = stats.horizon_lag_max;
-    r.max_gvt_lag_ns = max_gvt_lag_ns;
-    r.end_time_ns = stats.end_time.as_ns();
-    r.wall_ns = wall_ns;
-    r.per_thread = per_thread;
-    rec.emit(&r);
 }
 
 /// Debug guard on dequeue order: timestamps pulled off an in-order event

@@ -18,9 +18,11 @@
 //! * [`Simulation::run_sharded`] — the conservative rounds across OS
 //!   processes ([`shard`]).
 //!
-//! The three conservative ones share one worker core (LP split and
-//! reassembly, the per-event step, the end-of-run counter fold). All of
-//! them produce **bit-identical** model states: events are totally
+//! All five run on one worker core: one per-worker counter report that
+//! feeds the live registry, [`RunStats`] and the telemetry record alike,
+//! and (for the four that do not speculate) one per-event step; the
+//! multi-worker ones also share LP split and reassembly. All of them
+//! produce **bit-identical** model states: events are totally
 //! ordered by `(recv_time, send_time, src, tiebreak)` where the tiebreak
 //! counter is part of the rolled-back LP state. The pending-event set
 //! behind every scheduler is pluggable ([`queue`]): a reference binary
@@ -268,12 +270,29 @@ mod tests {
         assert_eq!(fingerprint(&a), fingerprint(&b));
     }
 
+    /// A run leg reports the events it committed, not the LPs' lifetime
+    /// execution counts.
+    #[test]
+    #[cfg(not(union_check))]
+    fn optimistic_legs_count_only_their_own_commits() {
+        let mut a = phold_sim(8, 17);
+        let mut b = phold_sim(8, 17);
+        let sa = a.run_sequential(SimTime::MAX);
+        let cfg = OptimisticConfig { batch: 16, snapshot_interval: 2 };
+        let first = b.run_optimistic(2, cfg, SimTime::from_us(100));
+        assert!(b.pending_events() > 0);
+        let second = b.run_optimistic(2, cfg, SimTime::MAX);
+        assert_eq!(first.committed + second.committed, sa.committed);
+        assert_eq!(fingerprint(&a), fingerprint(&b));
+    }
+
     #[test]
     #[cfg(not(union_check))]
     fn scheduler_enum_dispatches() {
         for sched in [
             Scheduler::Sequential,
             Scheduler::ConservativeParallel { threads: 2, lookahead: SimDuration::from_ns(1) },
+            Scheduler::ConservativeAsync { threads: 2, lookahead: SimDuration::from_ns(1) },
             Scheduler::Optimistic { threads: 2, config: OptimisticConfig::default() },
         ] {
             let mut sim = phold_sim(4, 11);

@@ -2,13 +2,16 @@
 //! ([`telemetry::live`]).
 //!
 //! Schedulers never touch the registry on per-event hot paths: each worker
-//! thread owns a [`LiveTap`] — plain local counters plus shard-private
-//! handles — and flushes it at the scheduler's natural synchronization
-//! cadence (per window/round/GVT epoch, or every
-//! [`FLUSH_EVERY`] committed events on the sequential path). A detached
-//! registry costs one `Option` branch at those same coarse points, which
-//! is what keeps the <2% overhead guard honest.
+//! thread owns a [`LiveTap`] — shard-private handles plus the counts it
+//! last published — and flushes it at the scheduler's natural
+//! synchronization cadence (per window/round/GVT epoch, or every
+//! [`FLUSH_EVERY`] committed events on the sequential path). A flush
+//! publishes what the worker's [`WorkerReport`] gained since the previous
+//! one, so the registry and the end-of-run record read the same counters.
+//! A detached registry costs one `Option` branch at those same coarse
+//! points, which is what keeps the <2% overhead guard honest.
 
+use crate::worker::WorkerReport;
 use std::sync::Arc;
 use telemetry::live::{CounterHandle, GaugeHandle, HistogramHandle, MetricsRegistry};
 
@@ -16,161 +19,103 @@ use telemetry::live::{CounterHandle, GaugeHandle, HistogramHandle, MetricsRegist
 /// schedulers flush at their own sync points instead.
 pub(crate) const FLUSH_EVERY: u64 = 8192;
 
+/// Registry names of the streamed counters, in [`counts`] order.
+const COUNTERS: [&str; 8] = [
+    "events_committed",
+    "events_rolled_back",
+    "rollbacks",
+    "anti_messages",
+    "remote_events",
+    "cross_shard_events",
+    "rounds",
+    "steals",
+];
+
+/// The report's streamed counters, in [`COUNTERS`] order.
+fn counts(r: &WorkerReport) -> [u64; 8] {
+    [
+        r.committed,
+        r.rolled_back,
+        r.rollbacks,
+        r.anti_messages,
+        r.remote,
+        r.cross_shard,
+        r.rounds,
+        r.steals,
+    ]
+}
+
 /// Sharded handles for every engine metric the schedulers feed. One per
 /// run; [`LiveHandles::tap`] clones it onto a worker's shard.
 pub(crate) struct LiveHandles {
-    committed: CounterHandle,
-    rolled_back: CounterHandle,
-    rollbacks: CounterHandle,
-    anti_messages: CounterHandle,
-    remote_events: CounterHandle,
-    cross_shard_events: CounterHandle,
-    rounds: CounterHandle,
-    steals: CounterHandle,
+    counters: [CounterHandle; 8],
     gvt_ns: GaugeHandle,
     horizon_lag_ns: GaugeHandle,
     queue_depth: GaugeHandle,
     pool_high_water: GaugeHandle,
-    workers: GaugeHandle,
     commit_batch: HistogramHandle,
     queue_depth_hist: HistogramHandle,
 }
 
 impl LiveHandles {
-    pub(crate) fn new(reg: &MetricsRegistry, threads: usize) -> Arc<LiveHandles> {
-        let h = LiveHandles {
-            committed: reg.counter("events_committed"),
-            rolled_back: reg.counter("events_rolled_back"),
-            rollbacks: reg.counter("rollbacks"),
-            anti_messages: reg.counter("anti_messages"),
-            remote_events: reg.counter("remote_events"),
-            cross_shard_events: reg.counter("cross_shard_events"),
-            rounds: reg.counter("rounds"),
-            steals: reg.counter("steals"),
-            gvt_ns: reg.gauge("gvt_ns"),
-            horizon_lag_ns: reg.gauge("horizon_lag_ns"),
-            queue_depth: reg.gauge("queue_depth"),
-            pool_high_water: reg.gauge("pool_high_water"),
-            workers: reg.gauge("workers"),
-            commit_batch: reg.histogram("commit_batch"),
-            queue_depth_hist: reg.histogram("queue_depth"),
-        };
-        h.workers.set(threads as u64);
-        Arc::new(h)
-    }
-
     /// From a simulation's optional registry: handles for a run about to
     /// start on `threads` workers.
     pub(crate) fn from_sim(
         reg: &Option<Arc<MetricsRegistry>>,
         threads: usize,
     ) -> Option<Arc<LiveHandles>> {
-        reg.as_ref().map(|r| LiveHandles::new(r, threads))
+        let reg = reg.as_ref()?;
+        reg.gauge("workers").set(threads as u64);
+        Some(Arc::new(LiveHandles {
+            counters: COUNTERS.map(|name| reg.counter(name)),
+            gvt_ns: reg.gauge("gvt_ns"),
+            horizon_lag_ns: reg.gauge("horizon_lag_ns"),
+            queue_depth: reg.gauge("queue_depth"),
+            pool_high_water: reg.gauge("pool_high_water"),
+            commit_batch: reg.histogram("commit_batch"),
+            queue_depth_hist: reg.histogram("queue_depth"),
+        }))
     }
 
     /// A worker-private tap recording through shard `shard`.
     pub(crate) fn tap(self: &Arc<LiveHandles>, shard: usize) -> LiveTap {
         LiveTap {
-            committed: self.committed.for_shard(shard),
-            rolled_back: self.rolled_back.for_shard(shard),
-            rollbacks: self.rollbacks.for_shard(shard),
-            anti_messages: self.anti_messages.for_shard(shard),
-            remote_events: self.remote_events.for_shard(shard),
-            cross_shard_events: self.cross_shard_events.for_shard(shard),
-            rounds: self.rounds.for_shard(shard),
-            steals: self.steals.for_shard(shard),
+            counters: self.counters.each_ref().map(|c| c.for_shard(shard)),
+            published: [0; 8],
             gvt_ns: self.gvt_ns.clone(),
             horizon_lag_ns: self.horizon_lag_ns.clone(),
             queue_depth: self.queue_depth.clone(),
             pool_high_water: self.pool_high_water.clone(),
             commit_batch: self.commit_batch.for_shard(shard),
             queue_depth_hist: self.queue_depth_hist.for_shard(shard),
-            d: PendingDeltas::default(),
         }
     }
 }
 
-/// Local deltas accumulated between flushes — plain integers, no atomics.
-#[derive(Default)]
-struct PendingDeltas {
-    committed: u64,
-    rolled_back: u64,
-    rollbacks: u64,
-    anti_messages: u64,
-    remote_events: u64,
-    cross_shard_events: u64,
-    rounds: u64,
-    steals: u64,
-}
-
-/// One worker thread's view of the live registry. All mutation lands in
-/// [`PendingDeltas`]; [`LiveTap::flush`] pushes the deltas through the
-/// shard-private wait-free handles.
+/// One worker thread's view of the live registry: the counters go through
+/// shard-private wait-free handles, the gauges are shared.
 pub(crate) struct LiveTap {
-    committed: CounterHandle,
-    rolled_back: CounterHandle,
-    rollbacks: CounterHandle,
-    anti_messages: CounterHandle,
-    remote_events: CounterHandle,
-    cross_shard_events: CounterHandle,
-    rounds: CounterHandle,
-    steals: CounterHandle,
+    counters: [CounterHandle; 8],
+    /// The report's counts as of the last flush.
+    published: [u64; 8],
     gvt_ns: GaugeHandle,
     horizon_lag_ns: GaugeHandle,
     queue_depth: GaugeHandle,
     pool_high_water: GaugeHandle,
     commit_batch: HistogramHandle,
     queue_depth_hist: HistogramHandle,
-    d: PendingDeltas,
 }
 
 impl LiveTap {
+    /// Committed events in `r` not yet published.
     #[inline]
-    pub(crate) fn commit(&mut self, n: u64) {
-        self.d.committed += n;
-    }
-
-    /// Committed events accumulated since the last flush (the sequential
-    /// scheduler's flush trigger).
-    #[inline]
-    pub(crate) fn pending_committed(&self) -> u64 {
-        self.d.committed
-    }
-
-    pub(crate) fn roll_back(&mut self, events: u64, episodes: u64) {
-        self.d.rolled_back += events;
-        self.d.rollbacks += episodes;
-    }
-
-    pub(crate) fn anti_message(&mut self, n: u64) {
-        self.d.anti_messages += n;
-    }
-
-    pub(crate) fn remote(&mut self, n: u64) {
-        self.d.remote_events += n;
-    }
-
-    pub(crate) fn cross_shard(&mut self, n: u64) {
-        self.d.cross_shard_events += n;
-    }
-
-    pub(crate) fn round(&mut self) {
-        self.d.rounds += 1;
-    }
-
-    pub(crate) fn steal(&mut self, n: u64) {
-        self.d.steals += n;
+    pub(crate) fn unpublished(&self, r: &WorkerReport) -> u64 {
+        r.committed - self.published[0]
     }
 
     /// Latest global clock (GVT / window floor / horizon) — leader only.
     pub(crate) fn gvt(&self, ns: u64) {
         self.gvt_ns.set(ns);
-    }
-
-    /// High-water of (max published horizon − min published horizon) or
-    /// (local min − GVT) lag.
-    pub(crate) fn lag(&self, ns: u64) {
-        self.horizon_lag_ns.observe_max(ns);
     }
 
     /// Current pending-queue depth: latest-value gauge plus distribution.
@@ -183,44 +128,22 @@ impl LiveTap {
         self.pool_high_water.observe_max(v);
     }
 
-    /// Push accumulated deltas through the handles and reset them. The
-    /// committed delta also lands in the `commit_batch` histogram — the
-    /// distribution of work per flush window.
-    pub(crate) fn flush(&mut self) {
-        let d = std::mem::take(&mut self.d);
-        if d.committed > 0 {
-            self.committed.add(d.committed);
-            self.commit_batch.record(d.committed);
+    /// Publish what `r`'s counters gained since the last flush, and its
+    /// lag high-water. The committed gain also lands in the
+    /// `commit_batch` histogram — the distribution of work per flush
+    /// window.
+    pub(crate) fn flush(&mut self, r: &WorkerReport) {
+        let now = counts(r);
+        if now[0] > self.published[0] {
+            self.commit_batch.record(now[0] - self.published[0]);
         }
-        if d.rolled_back > 0 {
-            self.rolled_back.add(d.rolled_back);
+        for ((handle, last), v) in self.counters.iter().zip(&mut self.published).zip(now) {
+            if v > *last {
+                handle.add(v - *last);
+                *last = v;
+            }
         }
-        if d.rollbacks > 0 {
-            self.rollbacks.add(d.rollbacks);
-        }
-        if d.anti_messages > 0 {
-            self.anti_messages.add(d.anti_messages);
-        }
-        if d.remote_events > 0 {
-            self.remote_events.add(d.remote_events);
-        }
-        if d.cross_shard_events > 0 {
-            self.cross_shard_events.add(d.cross_shard_events);
-        }
-        if d.rounds > 0 {
-            self.rounds.add(d.rounds);
-        }
-        if d.steals > 0 {
-            self.steals.add(d.steals);
-        }
-    }
-}
-
-impl Drop for LiveTap {
-    /// A tap that goes out of scope flushes its remainder, so end-of-run
-    /// totals are exact on every exit path.
-    fn drop(&mut self) {
-        self.flush();
+        self.horizon_lag_ns.observe_max(r.lag.max(r.gvt_lag));
     }
 }
 
@@ -229,23 +152,25 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tap_flushes_deltas_and_drop_flushes_remainder() {
+    fn tap_publishes_what_the_report_gained() {
         let reg = Arc::new(MetricsRegistry::with_shards(2));
         let handles = LiveHandles::from_sim(&Some(Arc::clone(&reg)), 2).unwrap();
         let mut a = handles.tap(0);
         let mut b = handles.tap(1);
-        a.commit(10);
-        a.round();
-        a.flush();
-        b.commit(32);
-        drop(b); // drop must flush the un-flushed 32
-        drop(a);
+        let mut ra = WorkerReport { committed: 10, rounds: 1, ..Default::default() };
+        a.flush(&ra);
+        a.flush(&ra); // nothing gained: nothing published
+        ra.committed = 25;
+        a.flush(&ra);
+        b.flush(&WorkerReport { committed: 17, lag: 5, ..Default::default() });
+        assert_eq!(a.unpublished(&WorkerReport { committed: 30, ..Default::default() }), 5);
         let snap = reg.snapshot();
         assert_eq!(snap.counter_total("events_committed"), Some(42));
         assert_eq!(snap.counter_total("rounds"), Some(1));
         assert_eq!(snap.gauge("workers"), Some(2));
+        assert_eq!(snap.gauge("horizon_lag_ns"), Some(5));
         let h = snap.histogram("commit_batch").unwrap();
-        assert_eq!(h.count, 2);
+        assert_eq!(h.count, 3);
         assert_eq!(h.sum, 42);
     }
 }

@@ -16,16 +16,17 @@
 //! regenerate identical event keys and the committed schedule is
 //! bit-identical to the sequential one.
 
-use crate::engine::{seal_outgoing, QueueTelemetry, RunStats, Simulation};
+use crate::engine::{seal_outgoing, RunStats, Simulation};
 use crate::event::{Envelope, EventKey, EventUid};
-use crate::lp::{Ctx, Lp, LpMeta, Outgoing};
+use crate::lp::{Ctx, Lp, LpMeta};
 use crate::queue::{EventQueue, PendingQueue};
 use crate::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use crate::sync::{thread, Barrier, Mutex};
-use crate::time::{SimDuration, SimTime};
-use crate::trace::{SpanKind, TraceBuf};
-use crate::worker;
+use crate::time::SimTime;
+use crate::trace::SpanKind;
+use crate::worker::{self, Lane, Run, Worker};
 use std::collections::{HashSet, VecDeque};
+use std::time::Instant;
 
 /// Partition LPs into `n` contiguous ranges of near-equal size.
 fn partition(n_lps: usize, n_threads: usize) -> Vec<std::ops::Range<usize>> {
@@ -127,38 +128,43 @@ impl<L: Lp + Clone> LpRt<L> {
     fn last_key(&self) -> Option<EventKey> {
         self.processed.back().map(|p| p.env.key())
     }
-}
 
-#[derive(Default)]
-struct LocalStats {
-    rolled: u64,
-    rollbacks: u64,
-    anti: u64,
-    annihilated: u64,
-    fence_restores: u64,
-    epochs: u64,
-    /// Max over epochs of `local_min - gvt`: how far this thread's
-    /// frontier ran ahead of the slowest thread.
-    gvt_lag_max: u64,
+    /// Commit every event below `gvt`: retire the snapshots at or below
+    /// the commit point into the fence (the newest one) and drop the
+    /// processed log below it. Rollback targets are never below GVT, so
+    /// the fence always covers them. Returns the events committed on this
+    /// LP in this run: exact and monotone, since they never roll back.
+    fn fossil(&mut self, gvt: u64) -> u64 {
+        let mut i = self.processed.len();
+        while i > 0 && self.processed[i - 1].env.recv_time.0 >= gvt {
+            i -= 1;
+        }
+        let keep = self.base + i as u64;
+        while self.snapshots.front().is_some_and(|s| s.at <= keep) {
+            self.fence = self.snapshots.pop_front().unwrap();
+        }
+        while self.base < self.fence.at {
+            self.processed.pop_front();
+            self.base += 1;
+        }
+        debug_assert_eq!(self.fence.at, self.base);
+        keep
+    }
 }
 
 /// Roll `rt` back so every processed event with key >= `to` is undone.
 /// Undone events are returned to `queue`, except the one whose uid matches
 /// `skip_uid` (an annihilated event). Anti-messages for the sends of undone
 /// events are appended to `antis` for the caller to post. Undone
-/// executions are marked wasted in `tbuf` and the whole episode becomes
-/// a rollback span.
-#[allow(clippy::too_many_arguments)]
+/// executions are marked wasted in the worker's trace buffer and the
+/// whole episode becomes a rollback span.
 fn rollback<L: Lp + Clone>(
     rt: &mut LpRt<L>,
     to: EventKey,
     skip_uid: Option<EventUid>,
     queue: &mut PendingQueue<L::Event>,
-    lookahead: SimDuration,
-    scratch: &mut Vec<Outgoing<L::Event>>,
-    stats: &mut LocalStats,
+    w: &mut Worker<'_, L>,
     antis: &mut Vec<(u32, EventUid)>,
-    tbuf: &mut Option<TraceBuf>,
 ) {
     // First undone index (relative).
     let mut i = rt.processed.len();
@@ -168,14 +174,14 @@ fn rollback<L: Lp + Clone>(
     if i == rt.processed.len() {
         return;
     }
-    let span_t0 = tbuf.as_ref().map(|_| std::time::Instant::now());
-    stats.rollbacks += 1;
+    let span_t0 = w.tbuf.as_ref().map(|_| Instant::now());
+    w.report.rollbacks += 1;
     let abs_i = rt.base + i as u64;
     // Undo events [i..): re-enqueue them and cancel their sends.
     while rt.processed.len() > i {
         let p = rt.processed.pop_back().unwrap();
-        stats.rolled += 1;
-        if let Some(b) = tbuf.as_mut() {
+        w.report.rolled_back += 1;
+        if let Some(b) = w.tbuf.as_mut() {
             b.mark_rolled_back(p.env.uid);
         }
         for s in p.sends {
@@ -196,7 +202,7 @@ fn rollback<L: Lp + Clone>(
     let snap = match rt.snapshots.back() {
         Some(s) => s,
         None => {
-            stats.fence_restores += 1;
+            w.report.fence_restores += 1;
             &rt.fence
         }
     };
@@ -214,61 +220,143 @@ fn rollback<L: Lp + Clone>(
     for k in replay_from..i {
         let env = rt.processed[k].env.clone();
         rt.meta.now = env.recv_time;
-        let mut ctx = Ctx { now: env.recv_time, me: env.dst, lookahead, out: scratch };
+        let mut ctx =
+            Ctx { now: env.recv_time, me: env.dst, lookahead: w.lookahead, out: &mut w.out };
         rt.lp.handle(&env, &mut ctx);
-        seal_outgoing(env.dst, env.recv_time, &mut rt.meta, scratch, |_| {});
+        seal_outgoing(env.dst, env.recv_time, &mut rt.meta, &mut w.out, |_| {});
     }
-    if let (Some(b), Some(t0)) = (tbuf.as_mut(), span_t0) {
+    if let (Some(b), Some(t0)) = (w.tbuf.as_mut(), span_t0) {
         b.end_span(SpanKind::Rollback, t0);
     }
 }
 
-/// Deliver one message to this thread's state, rolling back on stragglers
-/// and annihilating on anti-messages. Induced anti-messages go to `antis`.
-#[allow(clippy::too_many_arguments)]
-fn ingest<L: Lp + Clone>(
-    msg: Msg<L::Event>,
-    base_lp: usize,
-    lookahead: SimDuration,
-    rts: &mut [LpRt<L>],
-    queue: &mut PendingQueue<L::Event>,
-    tombstones: &mut HashSet<EventUid>,
-    scratch: &mut Vec<Outgoing<L::Event>>,
-    stats: &mut LocalStats,
-    antis: &mut Vec<(u32, EventUid)>,
-    tbuf: &mut Option<TraceBuf>,
-) {
-    match msg {
-        Msg::Event(env) => {
-            let rt = &mut rts[env.dst as usize - base_lp];
-            if rt.last_key().map(|k| k >= env.key()).unwrap_or(false) {
-                rollback(rt, env.key(), None, queue, lookahead, scratch, stats, antis, tbuf);
-            }
-            queue.push(env);
-        }
-        Msg::Anti { dst, uid } => {
-            let rt = &mut rts[dst as usize - base_lp];
-            if let Some(p) = rt.processed.iter().rev().find(|p| p.env.uid == uid) {
-                let key = p.env.key();
-                stats.annihilated += 1;
-                rollback(rt, key, Some(uid), queue, lookahead, scratch, stats, antis, tbuf);
-            } else {
-                // Not yet processed: annihilate lazily when it pops.
-                tombstones.insert(uid);
+/// One optimistic worker's share of the run: the runtimes of its LPs
+/// (global ids from `base`), their pending events, the uids to
+/// annihilate lazily when they pop, and messages between its own LPs not
+/// yet ingested.
+struct Share<L: Lp> {
+    base: usize,
+    rts: Vec<LpRt<L>>,
+    queue: PendingQueue<L::Event>,
+    tombstones: HashSet<EventUid>,
+    locals: VecDeque<Msg<L::Event>>,
+    antis: Vec<(u32, EventUid)>,
+    routed: Vec<Envelope<L::Event>>,
+}
+
+impl<L: Lp + Clone> Share<L> {
+    /// Ingest `msgs`, then every local message until none is left. The
+    /// anti-messages that induces go out through `send`, which hands local
+    /// messages back.
+    fn deliver(
+        &mut self,
+        msgs: Vec<Msg<L::Event>>,
+        w: &mut Worker<'_, L>,
+        send: &impl Fn(Msg<L::Event>) -> Option<Msg<L::Event>>,
+    ) {
+        let mut msgs = msgs.into_iter();
+        while let Some(msg) = msgs.next().or_else(|| self.locals.pop_front()) {
+            self.ingest(msg, w);
+            for (dst, uid) in self.antis.drain(..) {
+                w.report.anti_messages += 1;
+                self.locals.extend(send(Msg::Anti { dst, uid }));
             }
         }
     }
-}
 
-struct ThreadOutcome<L: Lp> {
-    lps: Vec<(usize, L, LpMeta)>,
-    leftover: Vec<Envelope<L::Event>>,
-    stats: LocalStats,
-    committed: u64,
-    final_gvt: u64,
-    queue_ops: u64,
-    queue_max_len: u64,
-    pool: crate::pool::PoolStats,
+    /// Deliver one message, rolling back on stragglers and annihilating
+    /// on anti-messages. Induced anti-messages go to `self.antis`.
+    fn ingest(&mut self, msg: Msg<L::Event>, w: &mut Worker<'_, L>) {
+        let rt = &mut self.rts[msg.dst() - self.base];
+        match msg {
+            Msg::Event(env) => {
+                if rt.last_key().is_some_and(|k| k >= env.key()) {
+                    rollback(rt, env.key(), None, &mut self.queue, w, &mut self.antis);
+                }
+                self.queue.push(env);
+            }
+            Msg::Anti { uid, .. } => {
+                if let Some(p) = rt.processed.iter().rev().find(|p| p.env.uid == uid) {
+                    let key = p.env.key();
+                    w.report.annihilated += 1;
+                    rollback(rt, key, Some(uid), &mut self.queue, w, &mut self.antis);
+                } else {
+                    // Not yet processed: annihilate lazily when it pops.
+                    self.tombstones.insert(uid);
+                }
+            }
+        }
+    }
+
+    /// Drop annihilated events off the head of the queue.
+    fn skip_dead(&mut self, w: &mut Worker<'_, L>) {
+        while let Some(uid) = self.queue.peek().map(|top| top.uid) {
+            if !self.tombstones.remove(&uid) {
+                break;
+            }
+            self.queue.pop();
+            w.report.annihilated += 1;
+        }
+    }
+
+    /// The speculative batch: process up to `cfg.batch` events at or below
+    /// `until` in local key order, ingesting stragglers delivered by local
+    /// sends before each.
+    fn speculate(
+        &mut self,
+        cfg: OptimisticConfig,
+        until: SimTime,
+        w: &mut Worker<'_, L>,
+        send: &impl Fn(Msg<L::Event>) -> Option<Msg<L::Event>>,
+    ) {
+        for _ in 0..cfg.batch {
+            self.deliver(Vec::new(), w, send);
+            self.skip_dead(w);
+            if self.queue.peek_time().is_none_or(|at| at > until) {
+                break;
+            }
+            let env = self.queue.pop().expect("peeked event vanished");
+            let rt = &mut self.rts[env.dst as usize - self.base];
+            debug_assert!(
+                rt.last_key().map(|k| k < env.key()).unwrap_or(true),
+                "out-of-order speculative execution"
+            );
+            let count = rt.count();
+            // The fence acts as the previous snapshot when the deque is
+            // empty, keeping the snapshot cadence exact across fossils and
+            // deep rollbacks.
+            if count - rt.snapshots.back().map_or(rt.fence.at, |s| s.at) >= cfg.snapshot_interval {
+                rt.snapshots.push_back(Snapshot {
+                    at: count,
+                    lp: rt.lp.clone(),
+                    tiebreak: rt.meta.tiebreak,
+                    now: rt.meta.now,
+                });
+            }
+            rt.meta.now = env.recv_time;
+            rt.meta.processed += 1;
+            let trace =
+                w.tbuf.as_mut().map(|b| (rt.lp.trace_kind(&env), b.event_start(), rt.meta.uid_seq));
+            let mut ctx =
+                Ctx { now: env.recv_time, me: env.dst, lookahead: w.lookahead, out: &mut w.out };
+            rt.lp.handle(&env, &mut ctx);
+            let mut sends = Vec::new();
+            let routed = &mut self.routed;
+            seal_outgoing(env.dst, env.recv_time, &mut rt.meta, &mut w.out, |e| {
+                sends.push(SentRecord { dst: e.dst, uid: e.uid });
+                routed.push(e);
+            });
+            if let (Some(b), Some((kind, t0, uid_lo))) = (w.tbuf.as_mut(), trace) {
+                b.record(&env, uid_lo, (rt.meta.uid_seq - uid_lo) as u32, kind, t0);
+            }
+            rt.processed.push_back(Processed { env, sends });
+            // Route after releasing the LP borrow: local deliveries may
+            // roll back *other* local LPs.
+            for e in self.routed.drain(..) {
+                self.locals.extend(send(Msg::Event(e)));
+            }
+        }
+    }
 }
 
 impl<L: Lp + Clone> Simulation<L> {
@@ -284,7 +372,7 @@ impl<L: Lp + Clone> Simulation<L> {
     ) -> RunStats {
         assert!(cfg.snapshot_interval >= 1);
         assert!(cfg.batch >= 1);
-        let start = std::time::Instant::now();
+        let start = Instant::now();
         let n_lps = self.lps.len();
         let ranges = partition(n_lps, n_threads);
         let n_threads = ranges.len();
@@ -292,466 +380,154 @@ impl<L: Lp + Clone> Simulation<L> {
             return self.run_sequential(until);
         }
 
-        let qkind = self.queue;
         let owner_of: Vec<u32> = (0..n_lps).map(|lp| owner(&ranges, lp) as u32).collect();
         let locals: Vec<Vec<u32>> =
             ranges.iter().map(|r| (r.start as u32..r.end as u32).collect()).collect();
-        let (lanes, mut slots) = worker::split(self, &locals, &owner_of);
+        let run = Run::open(self, "optimistic", n_threads, self.lookahead, start, true);
+        let (lanes, slots) = worker::split(self, &locals, &owner_of);
 
         let mailboxes: Vec<Mutex<Vec<Msg<L::Event>>>> =
             (0..n_threads).map(|_| Mutex::new(Vec::new())).collect();
         // Net count of messages posted to mailboxes and not yet drained.
         let in_flight = AtomicI64::new(0);
-        // Threads that still have local messages queued during quiescence
-        // detection.
-        let busy_threads = AtomicI64::new(0);
         let barrier = Barrier::new(n_threads);
         let mins: Vec<AtomicU64> = (0..n_threads).map(|_| AtomicU64::new(u64::MAX)).collect();
-        let lookahead = self.lookahead;
-        // Telemetry: clock reads around barriers and batches, only when a
-        // recorder or tracer is attached; the per-event path is untouched
-        // unless a tracer asks for it.
-        let telem_on = self.telemetry.is_some();
-        let trace_run = self
-            .tracer
-            .as_ref()
-            .map(|tr| (std::sync::Arc::clone(tr), tr.open_run("optimistic", n_threads)));
-        let timing = telem_on || trace_run.is_some();
-        let thread_records: Mutex<Vec<telemetry::ThreadRecord>> = Mutex::new(Vec::new());
-        let live_handles = crate::live::LiveHandles::from_sim(&self.live, n_threads);
-
-        let outcomes: Vec<Mutex<Option<ThreadOutcome<L>>>> =
-            (0..n_threads).map(|_| Mutex::new(None)).collect();
 
         thread::scope(|scope| {
             for (t, lane) in lanes.into_iter().enumerate() {
-                let mut queue = lane.queue;
-                // Per-LP runtimes. The initial fence captures the pre-run
-                // state — including the tiebreak already advanced by any
-                // `schedule()` calls — so a rollback to index 0
-                // regenerates identical event keys.
-                let mut rts: Vec<LpRt<L>> = (lane.lps.into_iter().zip(lane.metas))
-                    .map(|(lp, meta)| LpRt {
-                        fence: Snapshot {
-                            at: 0,
-                            lp: lp.clone(),
-                            tiebreak: meta.tiebreak,
-                            now: meta.now,
-                        },
-                        lp,
-                        meta,
-                        processed: VecDeque::new(),
-                        snapshots: VecDeque::new(),
-                        base: 0,
-                    })
-                    .collect();
-                let (ranges, owner_of) = (&ranges, &owner_of);
-                let mailboxes = &mailboxes;
-                let in_flight = &in_flight;
-                let busy_threads = &busy_threads;
-                let barrier = &barrier;
-                let mins = &mins;
-                let outcomes = &outcomes;
-                let thread_records = &thread_records;
-                let trace_run = &trace_run;
-                let live_handles = &live_handles;
+                let (run, ranges, owner_of) = (&run, &ranges, &owner_of);
+                let (mailboxes, in_flight, barrier, mins) =
+                    (&mailboxes, &in_flight, &barrier, &mins);
                 scope.spawn(move || {
-                    let mut tbuf = trace_run.as_ref().map(|(tr, run)| tr.buf(*run, t as u32));
-                    let mut tap = live_handles.as_ref().map(|h| h.tap(t));
-                    // (committed-at-GVT, rolled, rollbacks, anti) already
-                    // pushed into the live registry.
-                    let mut live_flushed = [0u64; 4];
-                    let base_lp = ranges[t].start;
-                    let mut tombstones: HashSet<EventUid> = HashSet::new();
-                    let mut scratch: Vec<Outgoing<L::Event>> = Vec::with_capacity(8);
-                    let mut stats = LocalStats::default();
-                    let mut antis: Vec<(u32, EventUid)> = Vec::new();
-                    let mut locals: VecDeque<Msg<L::Event>> = VecDeque::new();
-                    let mut routed: Vec<Envelope<L::Event>> = Vec::new();
-                    let mut busy_ns = 0u64;
-                    let mut blocked_ns = 0u64;
-                    let mut mailbox_hw = 0u64;
-                    #[allow(unused_assignments)] // always written before the loop breaks
-                    let mut gvt = 0u64;
-
-                    // Post a message: remote destinations go to the owner's
-                    // mailbox (counted in `in_flight`); local destinations
-                    // are queued for direct ingestion.
-                    let post = |m: Msg<L::Event>, locals: &mut VecDeque<Msg<L::Event>>| {
+                    let mut w = run.worker(t);
+                    let Lane { gids, lps, metas, queue } = lane;
+                    // Per-LP runtimes. The initial fence captures the
+                    // pre-run state — including the tiebreak already
+                    // advanced by any `schedule()` calls — so a rollback to
+                    // index 0 regenerates identical event keys.
+                    let rts = (lps.into_iter().zip(metas))
+                        .map(|(lp, meta)| LpRt {
+                            fence: Snapshot {
+                                at: 0,
+                                lp: lp.clone(),
+                                tiebreak: meta.tiebreak,
+                                now: meta.now,
+                            },
+                            lp,
+                            meta,
+                            processed: VecDeque::new(),
+                            snapshots: VecDeque::new(),
+                            base: 0,
+                        })
+                        .collect();
+                    let mut sh = Share {
+                        base: ranges[t].start,
+                        rts,
+                        queue,
+                        tombstones: HashSet::new(),
+                        locals: VecDeque::new(),
+                        antis: Vec::new(),
+                        routed: Vec::new(),
+                    };
+                    // Remote messages go to the owner's mailbox (counted in
+                    // `in_flight`); local ones come back for ingestion.
+                    let send = |m: Msg<L::Event>| {
                         let o = owner_of[m.dst()] as usize;
                         if o == t {
-                            locals.push_back(m);
-                        } else {
-                            in_flight.fetch_add(1, Ordering::SeqCst);
-                            mailboxes[o].lock().push(m);
+                            return Some(m);
                         }
+                        in_flight.fetch_add(1, Ordering::SeqCst);
+                        mailboxes[o].lock().push(m);
+                        None
                     };
 
                     loop {
                         // ---- GVT epoch: drain to quiescence ----
-                        loop {
-                            while let Some(m) = locals.pop_front() {
-                                ingest(
-                                    m,
-                                    base_lp,
-                                    lookahead,
-                                    &mut rts,
-                                    &mut queue,
-                                    &mut tombstones,
-                                    &mut scratch,
-                                    &mut stats,
-                                    &mut antis,
-                                    &mut tbuf,
-                                );
-                                for (dst, uid) in antis.drain(..) {
-                                    stats.anti += 1;
-                                    post(Msg::Anti { dst, uid }, &mut locals);
-                                }
-                            }
-                            let msgs: Vec<Msg<L::Event>> =
-                                std::mem::take(&mut *mailboxes[t].lock());
-                            mailbox_hw = mailbox_hw.max(msgs.len() as u64);
+                        // Model panics (in handlers run by rollbacks and
+                        // the batch) are parked so this worker still
+                        // reaches every barrier.
+                        let halted = loop {
+                            let msgs = std::mem::take(&mut *mailboxes[t].lock());
+                            w.drained(msgs.len() as u64);
                             in_flight.fetch_sub(msgs.len() as i64, Ordering::SeqCst);
-                            for m in msgs {
-                                ingest(
-                                    m,
-                                    base_lp,
-                                    lookahead,
-                                    &mut rts,
-                                    &mut queue,
-                                    &mut tombstones,
-                                    &mut scratch,
-                                    &mut stats,
-                                    &mut antis,
-                                    &mut tbuf,
-                                );
-                                for (dst, uid) in antis.drain(..) {
-                                    stats.anti += 1;
-                                    post(Msg::Anti { dst, uid }, &mut locals);
-                                }
-                            }
-                            let busy = !locals.is_empty();
-                            if busy {
-                                busy_threads.fetch_add(1, Ordering::SeqCst);
-                            }
-                            let t0 = timing.then(std::time::Instant::now);
+                            run.catch(|| sh.deliver(msgs, &mut w, &send));
+                            let t0 = Instant::now();
                             barrier.wait();
-                            // Stable region: nothing mutates the counters
-                            // between the two barriers, so every thread reads
-                            // the same quiescence verdict.
-                            let quiescent = in_flight.load(Ordering::SeqCst) == 0
-                                && busy_threads.load(Ordering::SeqCst) == 0;
+                            // Stable region: no thread posts a message or
+                            // runs model code between the two barriers, so
+                            // every thread reads the same verdicts and they
+                            // all leave the epoch loop together. Each drain
+                            // ingests until its local queue is empty, so no
+                            // mail in flight means quiescence.
+                            let quiescent = in_flight.load(Ordering::SeqCst) == 0;
+                            let halted = run.halted();
                             barrier.wait();
-                            if let Some(t0) = t0 {
-                                blocked_ns += t0.elapsed().as_nanos() as u64;
-                                if let Some(b) = tbuf.as_mut() {
-                                    b.end_span(SpanKind::Barrier, t0);
-                                }
+                            w.stalled(t0, SpanKind::Barrier);
+                            if quiescent || halted {
+                                break halted;
                             }
-                            if busy {
-                                busy_threads.fetch_sub(1, Ordering::SeqCst);
-                            }
-                            if quiescent {
-                                break;
-                            }
+                        };
+                        if halted {
+                            break;
                         }
 
                         // ---- compute GVT ----
-                        while let Some(uid) = queue.peek().map(|top| top.uid) {
-                            if tombstones.remove(&uid) {
-                                queue.pop();
-                                stats.annihilated += 1;
-                            } else {
-                                break;
-                            }
-                        }
-                        let local_min = queue.peek_time().map(|ts| ts.0).unwrap_or(u64::MAX);
+                        sh.skip_dead(&mut w);
+                        let local_min = sh.queue.peek_time().map_or(u64::MAX, |ts| ts.0);
                         mins[t].store(local_min, Ordering::SeqCst);
-                        let t0 = timing.then(std::time::Instant::now);
+                        let t0 = Instant::now();
                         barrier.wait();
-                        gvt = mins.iter().map(|m| m.load(Ordering::SeqCst)).min().unwrap();
-                        stats.epochs += 1;
-                        if local_min != u64::MAX {
-                            stats.gvt_lag_max =
-                                stats.gvt_lag_max.max(local_min.saturating_sub(gvt));
-                        }
+                        let gvt = mins.iter().map(|m| m.load(Ordering::SeqCst)).min().unwrap();
                         // All threads computed the same GVT; the barrier at
                         // the top of the next epoch keeps phases aligned.
                         barrier.wait();
-                        if let Some(t0) = t0 {
-                            blocked_ns += t0.elapsed().as_nanos() as u64;
-                            if let Some(b) = tbuf.as_mut() {
-                                b.end_span(SpanKind::Gvt, t0);
-                            }
+                        w.stalled(t0, SpanKind::Gvt);
+                        let r = &mut w.report;
+                        if t == 0 {
+                            r.rounds += 1;
                         }
+                        if local_min != u64::MAX {
+                            r.gvt_lag = r.gvt_lag.max(local_min - gvt);
+                        }
+                        r.clock = gvt.min(until.0);
                         if gvt == u64::MAX || gvt > until.0 {
                             break;
                         }
 
-                        // ---- fossil collection ----
-                        // Events below GVT are committed: retire their
-                        // snapshots into the fence (the newest one at or
-                        // below the keep point) and drop the processed log
-                        // below it. Rollback targets are never below GVT,
-                        // so the fence always covers them.
-                        let fossil_t0 = tbuf.as_ref().map(|_| std::time::Instant::now());
-                        let mut live_cum = 0u64;
-                        for rt in rts.iter_mut() {
-                            let mut i = rt.processed.len();
-                            while i > 0 && rt.processed[i - 1].env.recv_time.0 >= gvt {
-                                i -= 1;
-                            }
-                            // Events strictly below GVT are committed for
-                            // good: `abs_keep` summed over LPs is this
-                            // thread's exact, monotone committed count —
-                            // what the live plane reports mid-run.
-                            let abs_keep = rt.base + i as u64;
-                            live_cum += abs_keep;
-                            while rt.snapshots.front().map(|s| s.at <= abs_keep).unwrap_or(false) {
-                                rt.fence = rt.snapshots.pop_front().unwrap();
-                            }
-                            while rt.base < rt.fence.at {
-                                rt.processed.pop_front();
-                                rt.base += 1;
-                            }
-                            debug_assert_eq!(rt.fence.at, rt.base);
-                        }
-                        if let (Some(b), Some(t0)) = (tbuf.as_mut(), fossil_t0) {
+                        // ---- fossil collection, live flush ----
+                        let t0 = w.tbuf.as_ref().map(|_| Instant::now());
+                        w.report.committed = sh.rts.iter_mut().map(|rt| rt.fossil(gvt)).sum();
+                        if let (Some(b), Some(t0)) = (w.tbuf.as_mut(), t0) {
                             b.end_span(SpanKind::Fossil, t0);
                         }
-                        // Live flush once per GVT epoch. Committed counts
-                        // only events at or below GVT (monotone even under
-                        // rollback); rollback/anti counters flush deltas.
-                        if let Some(tp) = tap.as_mut() {
-                            tp.commit(live_cum.saturating_sub(live_flushed[0]));
-                            tp.roll_back(
-                                stats.rolled - live_flushed[1],
-                                stats.rollbacks - live_flushed[2],
-                            );
-                            tp.anti_message(stats.anti - live_flushed[3]);
-                            live_flushed = [
-                                live_cum.max(live_flushed[0]),
-                                stats.rolled,
-                                stats.rollbacks,
-                                stats.anti,
-                            ];
+                        w.publish(|tp| {
                             if t == 0 {
-                                tp.round();
                                 tp.gvt(gvt);
                             }
-                            tp.lag(stats.gvt_lag_max);
-                            tp.queue_depth(queue.len() as u64);
-                            tp.flush();
-                        }
+                            tp.queue_depth(sh.queue.len() as u64);
+                        });
 
                         // ---- speculative processing batch ----
-                        let t0 = timing.then(std::time::Instant::now);
-                        let mut processed_now = 0usize;
-                        while processed_now < cfg.batch {
-                            // Stragglers delivered by local sends first.
-                            while let Some(m) = locals.pop_front() {
-                                ingest(
-                                    m,
-                                    base_lp,
-                                    lookahead,
-                                    &mut rts,
-                                    &mut queue,
-                                    &mut tombstones,
-                                    &mut scratch,
-                                    &mut stats,
-                                    &mut antis,
-                                    &mut tbuf,
-                                );
-                                for (dst, uid) in antis.drain(..) {
-                                    stats.anti += 1;
-                                    post(Msg::Anti { dst, uid }, &mut locals);
-                                }
-                            }
-                            let env = loop {
-                                match queue.pop() {
-                                    None => break None,
-                                    Some(e) => {
-                                        if tombstones.remove(&e.uid) {
-                                            stats.annihilated += 1;
-                                            continue;
-                                        }
-                                        break Some(e);
-                                    }
-                                }
-                            };
-                            let Some(env) = env else { break };
-                            if env.recv_time > until {
-                                queue.push(env);
-                                break;
-                            }
-                            {
-                                let rt = &mut rts[env.dst as usize - base_lp];
-                                debug_assert!(
-                                    rt.last_key().map(|k| k < env.key()).unwrap_or(true),
-                                    "out-of-order speculative execution"
-                                );
-                                let count = rt.count();
-                                // The fence acts as the previous snapshot
-                                // when the deque is empty, keeping the
-                                // snapshot cadence exact across fossils
-                                // and deep rollbacks.
-                                let due = match rt.snapshots.back() {
-                                    None => count - rt.fence.at >= cfg.snapshot_interval,
-                                    Some(s) => count - s.at >= cfg.snapshot_interval,
-                                };
-                                if due {
-                                    rt.snapshots.push_back(Snapshot {
-                                        at: count,
-                                        lp: rt.lp.clone(),
-                                        tiebreak: rt.meta.tiebreak,
-                                        now: rt.meta.now,
-                                    });
-                                }
-                                rt.meta.now = env.recv_time;
-                                rt.meta.processed += 1;
-                                let trace = tbuf.as_mut().map(|b| {
-                                    (rt.lp.trace_kind(&env), b.event_start(), rt.meta.uid_seq)
-                                });
-                                let mut ctx = Ctx {
-                                    now: env.recv_time,
-                                    me: env.dst,
-                                    lookahead,
-                                    out: &mut scratch,
-                                };
-                                rt.lp.handle(&env, &mut ctx);
-                                let mut sends = Vec::new();
-                                seal_outgoing(
-                                    env.dst,
-                                    env.recv_time,
-                                    &mut rt.meta,
-                                    &mut scratch,
-                                    |e| {
-                                        sends.push(SentRecord { dst: e.dst, uid: e.uid });
-                                        routed.push(e);
-                                    },
-                                );
-                                if let (Some(b), Some((kind, t0, uid_lo))) = (tbuf.as_mut(), trace)
-                                {
-                                    let children = (rt.meta.uid_seq - uid_lo) as u32;
-                                    b.record(&env, uid_lo, children, kind, t0);
-                                }
-                                rt.processed.push_back(Processed { env, sends });
-                            }
-                            // Route after releasing the LP borrow: local
-                            // deliveries may roll back *other* local LPs.
-                            for e in routed.drain(..) {
-                                post(Msg::Event(e), &mut locals);
-                            }
-                            processed_now += 1;
-                        }
-                        if let Some(t0) = t0 {
-                            busy_ns += t0.elapsed().as_nanos() as u64;
-                        }
+                        let t0 = w.clock();
+                        run.catch(|| sh.speculate(cfg, until, &mut w, &send));
+                        w.busy(t0);
                     }
 
-                    let committed: u64 = rts.iter().map(|rt| rt.meta.processed).sum();
-                    if let Some(tp) = tap.as_mut() {
-                        // At termination everything processed is committed;
-                        // flush the remainder above the last fossil point.
-                        tp.commit(committed.saturating_sub(live_flushed[0]));
-                        tp.roll_back(
-                            stats.rolled - live_flushed[1],
-                            stats.rollbacks - live_flushed[2],
-                        );
-                        tp.anti_message(stats.anti - live_flushed[3]);
-                        tp.lag(stats.gvt_lag_max);
-                        tp.pool_high_water(queue.pool_stats().high_water);
-                        tp.flush();
-                    }
-                    if let (Some((tr, _)), Some(b)) = (trace_run.as_ref(), tbuf) {
-                        tr.submit(b);
-                    }
-                    if telem_on {
-                        thread_records.lock().push(telemetry::ThreadRecord {
-                            thread: t,
-                            events: committed,
-                            busy_ns,
-                            blocked_ns,
-                            idle_ns: 0,
-                            mailbox_high_water: mailbox_hw,
-                        });
-                    }
-                    let lps = rts
-                        .into_iter()
-                        .enumerate()
-                        .map(|(i, rt)| (base_lp + i, rt.lp, rt.meta))
-                        .collect();
-                    let (queue_ops, queue_max_len) = (queue.ops(), queue.max_len());
-                    let pool = queue.pool_stats();
-                    let mut leftover: Vec<Envelope<L::Event>> = Vec::new();
-                    queue.drain_to(&mut leftover);
-                    leftover.retain(|e| {
-                        let dead = tombstones.contains(&e.uid);
-                        if dead {
-                            stats.annihilated += 1;
-                        }
-                        !dead
-                    });
-                    *outcomes[t].lock() = Some(ThreadOutcome {
-                        lps,
-                        leftover,
-                        stats,
-                        committed,
-                        final_gvt: gvt,
-                        queue_ops,
-                        queue_max_len,
-                        pool,
-                    });
+                    // At termination everything processed is committed.
+                    w.report.committed = sh.rts.iter().map(LpRt::count).sum();
+                    let (lps, metas) = sh.rts.into_iter().map(|rt| (rt.lp, rt.meta)).unzip();
+                    let mut leftover = Vec::new();
+                    sh.queue.drain_to(&mut leftover);
+                    let before = leftover.len();
+                    leftover.retain(|e| !sh.tombstones.contains(&e.uid));
+                    w.report.annihilated += (before - leftover.len()) as u64;
+                    run.retire(w, Lane { gids, lps, metas, queue: sh.queue }, leftover);
                 });
             }
         });
 
-        // Reassemble LP state and leftover events.
-        let mut stats = RunStats::default();
-        let mut speculative = 0u64;
-        let mut max_gvt_lag = 0u64;
-        let mut queue_telem = QueueTelemetry::empty(qkind);
-        for oc in &outcomes {
-            if let Some(oc) = oc.lock().take() {
-                for (i, lp, meta) in oc.lps {
-                    slots.put(i as u32, lp, meta);
-                }
-                for env in oc.leftover {
-                    self.pending.push(env);
-                }
-                queue_telem.ops += oc.queue_ops;
-                queue_telem.max_len = queue_telem.max_len.max(oc.queue_max_len);
-                queue_telem.pool.merge(oc.pool);
-                speculative += oc.committed;
-                stats.rolled_back += oc.stats.rolled;
-                stats.rollbacks += oc.stats.rollbacks;
-                stats.anti_messages += oc.stats.anti;
-                stats.annihilated += oc.stats.annihilated;
-                stats.fence_restores += oc.stats.fence_restores;
-                stats.rounds = stats.rounds.max(oc.stats.epochs);
-                stats.end_time = stats.end_time.max(SimTime(oc.final_gvt.min(until.0)));
-                max_gvt_lag = max_gvt_lag.max(oc.stats.gvt_lag_max);
-            }
-        }
-        slots.restore(self);
-
-        // `meta.processed` counts speculative executions (including
-        // re-executions); committed work is the difference.
-        stats.committed = speculative - stats.rolled_back;
-        stats.wall_seconds = start.elapsed().as_secs_f64();
-        if let Some((tr, run)) = trace_run {
-            tr.close_run(run, (stats.wall_seconds * 1e9) as u64, stats.end_time.as_ns());
-        }
-        crate::engine::emit_sched_telemetry(
-            self.telemetry.as_deref(),
-            "optimistic",
-            n_threads,
-            &stats,
-            max_gvt_lag,
-            queue_telem,
-            thread_records.into_inner(),
-        );
-        stats
+        let reports = run.reassemble(self, slots, Vec::new());
+        run.fold(self, reports)
     }
 }
 

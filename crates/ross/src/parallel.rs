@@ -39,6 +39,7 @@ use crate::queue::EventQueue;
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::{thread, Barrier};
 use crate::time::{SimDuration, SimTime};
+use crate::trace::SpanKind;
 use crate::worker::{self, Hop, Run};
 
 /// Cross-partition events are batched into chunks of this many envelopes
@@ -137,12 +138,14 @@ impl<L: Lp> Simulation<L> {
                         // scheduler needs them even with telemetry off.
                         let t0 = std::time::Instant::now();
                         barrier.wait();
-                        w.stalled(t0);
+                        w.stalled(t0, SpanKind::Barrier);
                         let gmin = mins.iter().map(|m| m.load(Ordering::Relaxed)).min().unwrap();
                         if gmin == u64::MAX || gmin > until.0 {
                             break;
                         }
-                        w.report.rounds += 1;
+                        if t == 0 {
+                            w.report.rounds += 1;
+                        }
                         let window_end =
                             gmin.saturating_add(window.0).min(until.0.saturating_add(1));
 
@@ -160,12 +163,12 @@ impl<L: Lp> Simulation<L> {
                                 // gmin is a shared-memory GVT.
                                 #[cfg(union_check)]
                                 worker::assert_gvt_floor(top, gmin);
-                                let li = local_of[top.dst as usize] as usize;
+                                let (at, li) = (top.recv_time, local_of[top.dst as usize] as usize);
                                 let (lp, meta) = (&mut lane.lps[li], &mut lane.metas[li]);
-                                let stepped = w.step(&mut lane.queue, lp, meta, |queue, new| {
+                                let stepped = w.step(&mut lane.queue, at, lp, meta, |q, new| {
                                     let o = owner_of[new.dst as usize] as usize;
                                     if o == t {
-                                        queue.push(new);
+                                        q.push(new);
                                         return Hop::Local;
                                     }
                                     let c = &mut chunks[o];
@@ -185,16 +188,14 @@ impl<L: Lp> Simulation<L> {
                             }
                         });
                         w.busy(t0);
-                        // Live flush once per window: committed/remote
-                        // deltas, window floor (leader), local queue depth.
-                        if let Some(tp) = w.live() {
+                        // Live flush once per window: the report's gains,
+                        // window floor (leader), local queue depth.
+                        w.publish(|tp| {
                             if t == 0 {
-                                tp.round();
                                 tp.gvt(gmin);
                             }
                             tp.queue_depth(lane.queue.len() as u64);
-                            tp.flush();
-                        }
+                        });
                         // Flush partial chunks — unconditionally, even on a
                         // violation or model panic, so no buffered event is
                         // ever stranded in this worker's locals.
@@ -209,7 +210,7 @@ impl<L: Lp> Simulation<L> {
                         // before anyone's next mailbox drain.
                         let t0 = std::time::Instant::now();
                         barrier.wait();
-                        w.stalled(t0);
+                        w.stalled(t0, SpanKind::Barrier);
                     }
                     run.retire(w, lane, Vec::new());
                 });
@@ -402,6 +403,29 @@ mod tests {
             sim.schedule(i, SimTime::from_ns(i as u64), i as u64);
         }
         sim.run_conservative_parallel(4, SimDuration::from_ns(50), SimTime::MAX);
+    }
+
+    /// The optimistic twin: a panic in a speculative batch (or in the
+    /// coast-forward of a rollback) stops every thread at the next
+    /// quiescence check and resurfaces on the caller. Only LP 0 blows up,
+    /// so the other threads are waiting on a barrier when it does.
+    #[test]
+    #[should_panic(expected = "model LP blew up")]
+    fn optimistic_worker_panic_propagates_instead_of_deadlocking() {
+        let n_lps = 8u32;
+        let lps = (0..n_lps)
+            .map(|i| PanickyRing {
+                n_lps,
+                boom_at: if i == 0 { SimTime::from_us(10) } else { SimTime::MAX },
+                horizon: SimTime::from_us(100),
+            })
+            .collect();
+        let mut sim = Simulation::new(lps, SimDuration::from_ns(1));
+        for i in 0..n_lps {
+            sim.schedule(i, SimTime::from_ns(i as u64), i as u64);
+        }
+        let cfg = crate::OptimisticConfig { batch: 8, snapshot_interval: 2 };
+        sim.run_optimistic(4, cfg, SimTime::MAX);
     }
 
     #[test]

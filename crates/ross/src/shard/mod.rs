@@ -58,6 +58,7 @@ use crate::queue::EventQueue;
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use crate::sync::{thread, Barrier, Mutex};
 use crate::time::{SimDuration, SimTime};
+use crate::trace::SpanKind;
 use crate::worker::{self, Hop, Run};
 use checkpoint::LpSnapshot;
 use std::fmt;
@@ -341,13 +342,11 @@ impl<L: Lp> Simulation<L> {
                         mins[t].store(local_min, Ordering::Relaxed);
                         // (B) Leader flushes outboxes and runs the
                         // token fence while workers wait.
-                        let t0 = w.clock();
+                        let t0 = std::time::Instant::now();
                         barrier.wait();
                         // (C) gvt/wend/done/ckpt published.
                         barrier.wait();
-                        if let Some(t0) = t0 {
-                            w.report.thread.blocked_ns += t0.elapsed().as_nanos() as u64;
-                        }
+                        w.stalled(t0, SpanKind::Barrier);
                         // Cross-shard fence arrivals.
                         mailboxes[t].drain_into(&mut inbox);
                         w.drained(inbox.len() as u64);
@@ -383,7 +382,9 @@ impl<L: Lp> Simulation<L> {
                         if done_a.load(Ordering::Acquire) {
                             break;
                         }
-                        w.report.rounds += 1;
+                        if t == 0 {
+                            w.report.rounds += 1;
+                        }
                         if halted {
                             continue; // wind down without processing
                         }
@@ -402,9 +403,10 @@ impl<L: Lp> Simulation<L> {
                                     top,
                                     gvt_oracle.load(std::sync::atomic::Ordering::Relaxed),
                                 );
-                                let li = wlocal_of[top.dst as usize] as usize;
+                                let (at, li) =
+                                    (top.recv_time, wlocal_of[top.dst as usize] as usize);
                                 let (lp, meta) = (&mut lane.lps[li], &mut lane.metas[li]);
-                                let stepped = w.step(&mut lane.queue, lp, meta, |queue, new| {
+                                let stepped = w.step(&mut lane.queue, at, lp, meta, |q, new| {
                                     let s = shard_of[new.dst as usize] as usize;
                                     if s != me {
                                         let c = &mut xchunks[s];
@@ -416,7 +418,7 @@ impl<L: Lp> Simulation<L> {
                                     }
                                     let wk = worker_of[new.dst as usize] as usize;
                                     if wk == t {
-                                        queue.push(new);
+                                        q.push(new);
                                         Hop::Local
                                     } else {
                                         mailboxes[wk].push(new);
@@ -440,17 +442,14 @@ impl<L: Lp> Simulation<L> {
                         // Visible to the leader before the next fence
                         // (barrier A orders it).
                         committed.fetch_add(w.report.committed - before, Ordering::Relaxed);
-                        if let Some(tp) = w.live() {
-                            tp.queue_depth(lane.queue.len() as u64);
-                            tp.flush();
-                        }
+                        w.publish(|tp| tp.queue_depth(lane.queue.len() as u64));
                     }
                     run.retire(w, lane, Vec::new());
                 });
             }
 
             // ------------------------------------------------------- leader
-            let mut leader_tap = run.tap(0);
+            let leader_tap = run.tap(0);
             let mut epoch = 0u64;
             let mut sent_total = 0u64;
             let mut recv_total = 0u64;
@@ -517,14 +516,8 @@ impl<L: Lp> Simulation<L> {
                 wend_a.store(wend, Ordering::Release);
                 done_a.store(done, Ordering::Release);
                 ckpt_a.store(do_ckpt, Ordering::Release);
-                if let Some(tp) = leader_tap.as_mut() {
-                    if gvt != u64::MAX {
-                        tp.gvt(gvt);
-                    }
-                    if !done {
-                        tp.round();
-                    }
-                    tp.flush();
+                if let Some(tp) = leader_tap.as_ref().filter(|_| gvt != u64::MAX) {
+                    tp.gvt(gvt);
                 }
                 barrier.wait(); // (C)
                 if do_ckpt {

@@ -1,22 +1,28 @@
-//! The conservative worker core shared by the conservative-parallel
-//! ([`crate::parallel`]), conservative-async ([`crate::asynchronous`])
-//! and sharded ([`crate::shard`]) schedulers.
+//! The worker core shared by every scheduler: sequential, optimistic,
+//! conservative-parallel ([`crate::parallel`]), conservative-async
+//! ([`crate::asynchronous`]) and sharded ([`crate::shard`]).
 //!
-//! Each of those schedulers keeps its own synchronization protocol
-//! (barrier rounds; published horizons plus stealing; the leader's token
-//! fence and checkpoints) and calls in here for everything else:
+//! Each scheduler keeps its own synchronization protocol (none; GVT
+//! epochs with rollback; barrier rounds; published horizons plus
+//! stealing; the leader's token fence and checkpoints) and calls in here
+//! for everything else:
 //!
 //! * [`split`] moves LPs, meta and pending events out of the
 //!   [`Simulation`] into per-worker [`Lane`]s, and [`Run::reassemble`]
-//!   puts them back by global id;
+//!   puts them back by global id (sequential runs in place and skips
+//!   both);
 //! * [`Worker::step`] executes one event: the hard causality check, the
 //!   meta update, `handle`, sealing the sends through the scheduler's
-//!   routing closure, and trace recording;
-//! * each worker hands its counters back in a [`WorkerReport`], which
-//!   [`Run::fold`] turns once into [`RunStats`] and the run's telemetry
-//!   record.
+//!   routing closure, and trace recording (optimistic executes
+//!   speculatively and keeps its own step);
+//! * each worker counts into one [`WorkerReport`]: its live tap
+//!   publishes the report's gains mid-run, and [`Run::fold`] turns the
+//!   final reports once into [`RunStats`] and the run's `scheduler`
+//!   telemetry record. So the registry, the stats and the record cannot
+//!   disagree. Lockstep schedulers run the same rounds on every worker,
+//!   so `rounds` is counted by worker 0 alone.
 
-use crate::engine::{emit_sched_telemetry, seal_outgoing, QueueTelemetry, RunStats, Simulation};
+use crate::engine::{seal_outgoing, RunStats, Simulation};
 use crate::event::{Envelope, EventHeader};
 use crate::live::{LiveHandles, LiveTap};
 use crate::lp::{Ctx, Lp, LpMeta, Outgoing};
@@ -117,41 +123,54 @@ pub(crate) enum Hop {
     Shard,
 }
 
-/// One worker's counters, handed back at exit and folded by [`Run::fold`]:
-/// sums for the counts, maxima for clocks and high-water marks.
+/// One worker's counters: the only place a run counts anything. The live
+/// tap publishes their gains mid-run; [`Run::fold`] folds the final ones
+/// (sums for the counts, maxima for clocks, lags and high-water marks).
+/// Every count is cumulative and never decreases.
 #[derive(Default)]
 pub(crate) struct WorkerReport {
+    /// Committed events. An optimistic worker holds the count committed
+    /// below GVT at each fossil point, and at the end everything it
+    /// processed minus what it rolled back.
     pub(crate) committed: u64,
+    pub(crate) rolled_back: u64,
+    pub(crate) rollbacks: u64,
+    pub(crate) anti_messages: u64,
+    pub(crate) annihilated: u64,
+    pub(crate) fence_restores: u64,
     pub(crate) remote: u64,
     pub(crate) cross_shard: u64,
-    /// Rounds or scheduling iterations (folded by max).
+    /// Rounds, GVT epochs or scheduling iterations: worker 0 only.
     pub(crate) rounds: u64,
     pub(crate) steals: u64,
     /// Nanoseconds waiting on barriers or peer horizons.
     pub(crate) stall_ns: u64,
     /// Widest gap seen between peer horizons and this worker's own.
     pub(crate) lag: u64,
-    /// Latest receive time executed.
+    /// Widest gap seen between this worker's local minimum and GVT.
+    pub(crate) gvt_lag: u64,
+    /// Latest receive time executed (optimistic: the final GVT).
     pub(crate) clock: u64,
-    /// The per-thread telemetry record; its `events` is filled in from
-    /// `committed` by the fold.
+    /// The per-thread telemetry record; its `events` (executions,
+    /// rolled-back ones included) is filled in by the fold.
     pub(crate) thread: telemetry::ThreadRecord,
-    queue_ops: u64,
-    queue_max_len: u64,
-    pool: PoolStats,
+    pub(crate) queue_ops: u64,
+    pub(crate) queue_max_len: u64,
+    pub(crate) pool: PoolStats,
 }
 
 /// What a worker hands back at exit: its lane (queue drained), the
 /// events it held, and its counters.
 type Retired<L> = (Lane<L>, Vec<Envelope<<L as Lp>::Event>>, WorkerReport);
 
-/// Shared state of one conservative run, borrowed by every worker.
+/// State of one run, borrowed by every worker.
 ///
-/// A run ends early on the first lookahead violation or on a panic caught
-/// in model code: workers stop at their next synchronization point once
-/// [`Run::halted`], and [`Run::reassemble`] re-raises the fault on the
-/// calling thread after every worker has shut down (a worker panicking on
-/// the spot would leave its peers waiting for it forever).
+/// A multi-worker run ends early on the first lookahead violation or on a
+/// panic caught in model code: workers stop at their next synchronization
+/// point once [`Run::halted`], and [`Run::reassemble`] re-raises the fault
+/// on the calling thread after every worker has shut down (a worker
+/// panicking on the spot would leave its peers waiting for it forever).
+/// A [`Run::solo`] run has no peers and raises faults on the spot.
 pub(crate) struct Run<L: Lp> {
     name: &'static str,
     start: Instant,
@@ -162,6 +181,12 @@ pub(crate) struct Run<L: Lp> {
     timing: bool,
     trace: Option<(Arc<Tracer>, u32)>,
     live: Option<Arc<LiveHandles>>,
+    shared: Option<Shared<L>>,
+}
+
+/// What the workers of a multi-worker run share: its faults and the lanes
+/// they hand back.
+struct Shared<L: Lp> {
     violated: AtomicBool,
     violation: Mutex<Option<String>>,
     poisoned: AtomicBool,
@@ -170,9 +195,30 @@ pub(crate) struct Run<L: Lp> {
 }
 
 impl<L: Lp> Run<L> {
-    /// Open a run of scheduler `name` on `threads` workers, started at
-    /// `start`. `traced` opens a run on the attached tracer, if any.
+    /// Open a run of scheduler `name` on `threads` worker threads, started
+    /// at `start`. `traced` opens a run on the attached tracer, if any.
     pub(crate) fn open(
+        sim: &Simulation<L>,
+        name: &'static str,
+        threads: usize,
+        window: SimDuration,
+        start: Instant,
+        traced: bool,
+    ) -> Self {
+        let shared = Shared {
+            violated: AtomicBool::new(false),
+            violation: Mutex::new(None),
+            poisoned: AtomicBool::new(false),
+            panic: Mutex::new(None),
+            results: Mutex::new(Vec::with_capacity(threads)),
+        };
+        Run { shared: Some(shared), ..Run::solo(sim, name, threads, window, start, traced) }
+    }
+
+    /// [`Run::open`] for a run on the calling thread alone (the sequential
+    /// path). It takes no synchronization primitive, so it also runs
+    /// outside the model checker in checked builds.
+    pub(crate) fn solo(
         sim: &Simulation<L>,
         name: &'static str,
         threads: usize,
@@ -193,17 +239,18 @@ impl<L: Lp> Run<L> {
             timing: sim.telemetry.is_some() || trace.is_some(),
             trace,
             live: LiveHandles::from_sim(&sim.live, threads),
-            violated: AtomicBool::new(false),
-            violation: Mutex::new(None),
-            poisoned: AtomicBool::new(false),
-            panic: Mutex::new(None),
-            results: Mutex::new(Vec::with_capacity(threads)),
+            shared: None,
         }
+    }
+
+    fn shared(&self) -> &Shared<L> {
+        self.shared.as_ref().expect("a solo run has no peers")
     }
 
     /// Whether a lookahead violation or a model panic has stopped the run.
     pub(crate) fn halted(&self) -> bool {
-        self.violated.load(Ordering::SeqCst) || self.poisoned.load(Ordering::SeqCst)
+        let sh = self.shared();
+        sh.violated.load(Ordering::SeqCst) || sh.poisoned.load(Ordering::SeqCst)
     }
 
     /// Run `f` (model code), parking a panic instead of unwinding out of
@@ -212,11 +259,27 @@ impl<L: Lp> Run<L> {
         match std::panic::catch_unwind(AssertUnwindSafe(f)) {
             Ok(()) => false,
             Err(payload) => {
-                self.panic.lock().get_or_insert(payload);
-                self.poisoned.store(true, Ordering::SeqCst);
+                let sh = self.shared();
+                sh.panic.lock().get_or_insert(payload);
+                sh.poisoned.store(true, Ordering::SeqCst);
                 true
             }
         }
+    }
+
+    /// Record a lookahead violation: an event for LP `dst` due `at`
+    /// arrived after the LP reached `now`. A solo run panics on the spot.
+    #[cold]
+    #[inline(never)]
+    fn violated(&self, dst: u32, at: SimTime, now: SimTime) {
+        let msg = format!(
+            "lookahead violation: event for LP {dst} at {} ns arrived after the LP reached {} \
+             ns; lookahead {} ns exceeds the model's minimum send delay",
+            at.0, now.0, self.window.0,
+        );
+        let Some(sh) = self.shared.as_ref() else { panic!("{msg}") };
+        sh.violation.lock().get_or_insert(msg);
+        sh.violated.store(true, Ordering::SeqCst);
     }
 
     /// Worker `t`'s private state.
@@ -229,8 +292,8 @@ impl<L: Lp> Run<L> {
             },
             tbuf: self.trace.as_ref().map(|(tr, run)| tr.buf(*run, t as u32)),
             tap: self.tap(t),
-            flushed: [0; 4],
             out: Vec::with_capacity(8),
+            lookahead: self.lookahead,
         }
     }
 
@@ -240,28 +303,16 @@ impl<L: Lp> Run<L> {
     }
 
     /// Hand a worker's lane back at exit, with `leftover` events it holds
-    /// outside its queue: flush its live counters, submit its trace
-    /// buffer and record its queue counters.
+    /// outside its queue (see [`Worker::finish`]).
     pub(crate) fn retire(
         &self,
-        mut w: Worker<'_, L>,
+        w: Worker<'_, L>,
         mut lane: Lane<L>,
         mut leftover: Vec<Envelope<L::Event>>,
     ) {
-        let pool = lane.queue.pool_stats();
-        if let Some(tp) = w.live() {
-            tp.pool_high_water(pool.high_water);
-            tp.flush();
-        }
-        if let (Some((tr, _)), Some(b)) = (self.trace.as_ref(), w.tbuf.take()) {
-            tr.submit(b);
-        }
-        w.report.queue_ops = lane.queue.ops();
-        w.report.queue_max_len = lane.queue.max_len();
-        w.report.pool = pool;
+        let report = w.finish(&lane.queue);
         lane.queue.drain_to(&mut leftover);
-        let report = std::mem::take(&mut w.report);
-        self.results.lock().push((lane, leftover, report));
+        self.shared().results.lock().push((lane, leftover, report));
     }
 
     /// After every worker has retired: put each LP back into `sim` by
@@ -274,8 +325,9 @@ impl<L: Lp> Run<L> {
         mut slots: Slots<L>,
         stray: impl IntoIterator<Item = Envelope<L::Event>>,
     ) -> Vec<WorkerReport> {
+        let sh = self.shared();
         let mut reports = Vec::new();
-        for (lane, leftover, report) in self.results.lock().drain(..) {
+        for (lane, leftover, report) in sh.results.lock().drain(..) {
             for ((gid, lp), meta) in lane.gids.into_iter().zip(lane.lps).zip(lane.metas) {
                 slots.put(gid, lp, meta);
             }
@@ -288,50 +340,63 @@ impl<L: Lp> Run<L> {
             sim.pending.push(env);
         }
         slots.restore(sim);
-        if let Some(payload) = self.panic.lock().take() {
+        if let Some(payload) = sh.panic.lock().take() {
             std::panic::resume_unwind(payload);
         }
-        if let Some(msg) = self.violation.lock().take() {
+        if let Some(msg) = sh.violation.lock().take() {
             panic!("{msg}");
         }
         reports
     }
 
     /// Fold the workers' reports into the run's stats, close its trace run
-    /// and emit its telemetry record.
+    /// and emit its `scheduler` telemetry record — the one place that
+    /// record is rendered.
     pub(crate) fn fold(self, sim: &Simulation<L>, reports: Vec<WorkerReport>) -> RunStats {
-        let mut stats = RunStats::default();
-        let mut queue = QueueTelemetry::empty(sim.queue);
-        let threads = reports.len();
-        let mut per_thread = Vec::with_capacity(threads);
+        let mut s = RunStats::default();
+        let mut rec = telemetry::SchedulerRecord::new(self.name, reports.len());
+        let mut pool = PoolStats::default();
         for r in reports {
-            stats.committed += r.committed;
-            stats.remote_events += r.remote;
-            stats.cross_shard_events += r.cross_shard;
-            stats.rounds = stats.rounds.max(r.rounds);
-            stats.steals += r.steals;
-            stats.horizon_stall_ns += r.stall_ns;
-            stats.horizon_lag_max = stats.horizon_lag_max.max(r.lag);
-            stats.end_time = stats.end_time.max(SimTime(r.clock));
-            queue.ops += r.queue_ops;
-            queue.max_len = queue.max_len.max(r.queue_max_len);
-            queue.pool.merge(r.pool);
-            per_thread.push(telemetry::ThreadRecord { events: r.committed, ..r.thread });
+            s.committed += r.committed;
+            s.rolled_back += r.rolled_back;
+            s.rollbacks += r.rollbacks;
+            s.anti_messages += r.anti_messages;
+            s.annihilated += r.annihilated;
+            s.fence_restores += r.fence_restores;
+            s.remote_events += r.remote;
+            s.cross_shard_events += r.cross_shard;
+            s.rounds += r.rounds;
+            s.steals += r.steals;
+            s.horizon_stall_ns += r.stall_ns;
+            s.horizon_lag_max = s.horizon_lag_max.max(r.lag);
+            s.end_time = s.end_time.max(SimTime(r.clock));
+            rec.max_gvt_lag_ns = rec.max_gvt_lag_ns.max(r.gvt_lag);
+            rec.queue_ops += r.queue_ops;
+            rec.queue_max_len = rec.queue_max_len.max(r.queue_max_len);
+            pool.merge(r.pool);
+            let events = r.committed + r.rolled_back;
+            rec.per_thread.push(telemetry::ThreadRecord { events, ..r.thread });
         }
-        stats.wall_seconds = self.start.elapsed().as_secs_f64();
+        s.wall_seconds = self.start.elapsed().as_secs_f64();
+        let wall_ns = (s.wall_seconds * 1e9) as u64;
         if let Some((tr, run)) = self.trace {
-            tr.close_run(run, (stats.wall_seconds * 1e9) as u64, stats.end_time.as_ns());
+            tr.close_run(run, wall_ns, s.end_time.as_ns());
         }
-        emit_sched_telemetry(
-            sim.telemetry.as_deref(),
-            self.name,
-            threads,
-            &stats,
-            0,
-            queue,
-            per_thread,
-        );
-        stats
+        let Some(sink) = sim.telemetry.as_deref() else { return s };
+        rec.per_thread.sort_by_key(|t| t.thread);
+        for t in &mut rec.per_thread {
+            t.idle_ns = wall_ns.saturating_sub(t.busy_ns + t.blocked_ns);
+        }
+        rec.queue = sim.queue.label().to_string();
+        (rec.pool_high_water, rec.pool_recycled) = (pool.high_water, pool.recycled);
+        (rec.committed, rec.rolled_back, rec.rollbacks) = (s.committed, s.rolled_back, s.rollbacks);
+        (rec.anti_messages, rec.annihilated) = (s.anti_messages, s.annihilated);
+        (rec.remote_events, rec.cross_shard_events) = (s.remote_events, s.cross_shard_events);
+        (rec.rounds, rec.steals) = (s.rounds, s.steals);
+        (rec.horizon_stall_ns, rec.horizon_lag_max) = (s.horizon_stall_ns, s.horizon_lag_max);
+        (rec.end_time_ns, rec.wall_ns) = (s.end_time.as_ns(), wall_ns);
+        sink.emit(&rec);
+        s
     }
 }
 
@@ -340,46 +405,38 @@ impl<L: Lp> Run<L> {
 pub(crate) struct Worker<'r, L: Lp> {
     run: &'r Run<L>,
     pub(crate) report: WorkerReport,
-    tbuf: Option<TraceBuf>,
-    pub(crate) tap: Option<LiveTap>,
-    /// committed, remote, cross-shard and steals already in the tap.
-    flushed: [u64; 4],
-    out: Vec<Outgoing<L::Event>>,
+    pub(crate) tbuf: Option<TraceBuf>,
+    tap: Option<LiveTap>,
+    pub(crate) out: Vec<Outgoing<L::Event>>,
+    /// The engine lookahead, for send contexts.
+    pub(crate) lookahead: SimDuration,
 }
 
 impl<L: Lp> Worker<'_, L> {
-    /// Execute the least event of `queue` on its LP, where it sits in the
-    /// queue's envelope pool, and seal the sends through `route`, which is
-    /// handed the same queue for local deliveries. The caller peeked the
-    /// event to find its `lp` and `meta`. Returns `false` on a lookahead
-    /// violation (an arrival in the LP's past, so the window exceeded the
-    /// model's true minimum send delay), with the event still queued: the
-    /// caller stops processing.
+    /// Execute the least event of `queue`, due `at`, on its LP, where it
+    /// sits in the queue's envelope pool, and seal the sends through
+    /// `route`, which is handed the same queue for local deliveries. The
+    /// caller peeked the event to find `at`, its `lp` and `meta`. Returns
+    /// `false` on a lookahead violation (an arrival in the LP's past, so
+    /// the window exceeded the model's true minimum send delay), with the
+    /// event still queued: the caller stops processing. A solo run panics
+    /// with the violation instead.
     #[inline]
     pub(crate) fn step(
         &mut self,
         queue: &mut PendingQueue<L::Event>,
+        at: SimTime,
         lp: &mut L,
         meta: &mut LpMeta,
         mut route: impl FnMut(&mut PendingQueue<L::Event>, Envelope<L::Event>) -> Hop,
     ) -> bool {
-        let at = queue.peek_time().expect("step on an empty queue");
         if at < meta.now {
-            let dst = queue.peek().map_or(0, |e| e.dst);
-            let mut v = self.run.violation.lock();
-            v.get_or_insert_with(|| {
-                format!(
-                    "lookahead violation: event for LP {dst} at {} ns arrived after the LP reached \
-                     {} ns; lookahead {} ns exceeds the model's minimum send delay",
-                    at.0, meta.now.0, self.run.window.0,
-                )
-            });
-            self.run.violated.store(true, Ordering::SeqCst);
+            self.run.violated(queue.peek().map_or(0, |e| e.dst), at, meta.now);
             return false;
         }
         let r = &mut self.report;
         r.clock = r.clock.max(at.0);
-        let (tbuf, out, lookahead) = (&mut self.tbuf, &mut self.out, self.run.lookahead);
+        let (tbuf, out, lookahead) = (&mut self.tbuf, &mut self.out, self.lookahead);
         let (head, trace) = queue
             .pop_with(|env| {
                 meta.now = env.recv_time;
@@ -418,53 +475,51 @@ impl<L: Lp> Worker<'_, L> {
         }
     }
 
-    /// Note a mailbox drain of `n` envelopes (for the high-water mark).
+    /// Note a mailbox drain of `n` messages (for the high-water mark).
     pub(crate) fn drained(&mut self, n: u64) {
         let hw = &mut self.report.thread.mailbox_high_water;
         *hw = (*hw).max(n);
     }
 
     /// Account a synchronization wait that began at `t0`: always as
-    /// stall, and as blocked time plus a trace span when timing.
-    pub(crate) fn stalled(&mut self, t0: Instant) {
+    /// stall, and as blocked time plus a `kind` trace span when timing.
+    pub(crate) fn stalled(&mut self, t0: Instant, kind: SpanKind) {
         let ns = t0.elapsed().as_nanos() as u64;
         self.report.stall_ns += ns;
         if self.run.timing {
             self.report.thread.blocked_ns += ns;
         }
         if let Some(b) = self.tbuf.as_mut() {
-            b.end_span(SpanKind::Barrier, t0);
+            b.end_span(kind, t0);
         }
     }
 
-    fn counts(&self) -> [u64; 4] {
-        let r = &self.report;
-        [r.committed, r.remote, r.cross_shard, r.steals]
+    /// Committed events the live tap has not published yet; `None` when
+    /// no registry is attached.
+    #[inline]
+    pub(crate) fn unpublished(&self) -> Option<u64> {
+        self.tap.as_ref().map(|tp| tp.unpublished(&self.report))
     }
 
-    /// Whether counts accumulated since the last [`Worker::live`] call.
-    pub(crate) fn unflushed(&self) -> bool {
-        self.counts() != self.flushed
+    /// Let `gauges` set the caller's live gauges, then publish the
+    /// report's gains. No-op when no registry is attached.
+    pub(crate) fn publish(&mut self, gauges: impl FnOnce(&mut LiveTap)) {
+        if let Some(tp) = self.tap.as_mut() {
+            gauges(tp);
+            tp.flush(&self.report);
+        }
     }
 
-    /// Committed events accumulated since the last [`Worker::live`] call.
-    pub(crate) fn unflushed_committed(&self) -> u64 {
-        self.report.committed - self.flushed[0]
-    }
-
-    /// Move the counts accumulated since the last call into the live tap
-    /// and return it for the caller's gauges and flush; `None` when no
-    /// registry is attached.
-    pub(crate) fn live(&mut self) -> Option<&mut LiveTap> {
-        let now = self.counts();
-        let tap = self.tap.as_mut()?;
-        let [c, r, x, s] = self.flushed;
-        tap.commit(now[0] - c);
-        tap.remote(now[1] - r);
-        tap.cross_shard(now[2] - x);
-        tap.steal(now[3] - s);
-        self.flushed = now;
-        Some(tap)
+    /// End of the worker: record `queue`'s counters, publish the final
+    /// counts and submit the trace buffer. Returns the report to fold.
+    pub(crate) fn finish(mut self, queue: &PendingQueue<L::Event>) -> WorkerReport {
+        let (r, pool) = (&mut self.report, queue.pool_stats());
+        (r.queue_ops, r.queue_max_len, r.pool) = (queue.ops(), queue.max_len(), pool);
+        self.publish(|tp| tp.pool_high_water(pool.high_water));
+        if let (Some((tr, _)), Some(b)) = (self.run.trace.as_ref(), self.tbuf.take()) {
+            tr.submit(b);
+        }
+        self.report
     }
 }
 
@@ -518,9 +573,10 @@ mod tests {
             let mut meta = LpMeta::new();
             meta.now = SimTime(35);
 
-            assert!(!w.step(&mut queue, &mut lp, &mut meta, |_, _| Hop::Local), "{kind:?}");
+            let at = queue.peek_time().unwrap();
+            assert!(!w.step(&mut queue, at, &mut lp, &mut meta, |_, _| Hop::Local), "{kind:?}");
             assert!(run.halted());
-            let msg = run.violation.lock().take().expect("violation recorded");
+            let msg = run.shared().violation.lock().take().expect("violation recorded");
             assert!(msg.contains("event for LP 0 at 30 ns arrived after the LP reached 35 ns"));
             assert_eq!((lp.0, meta.processed, w.report.committed), (0, 0, 0));
             assert_eq!(queue.len(), 3);
@@ -549,7 +605,7 @@ mod tests {
             q.push(new);
             Hop::Local
         };
-        assert!(w.step(&mut queue, &mut lp, &mut meta, local));
+        assert!(w.step(&mut queue, SimTime(30), &mut lp, &mut meta, local));
         assert_eq!((lp.0, meta.processed, meta.now), (1, 1, SimTime(30)));
         assert_eq!((w.report.committed, w.report.clock), (1, 30));
         assert_eq!(queue.pool_stats(), PoolStats { high_water: 2, recycled: 1 });

@@ -340,7 +340,8 @@ pub struct ThreadRecord {
 #[derive(Clone, Debug, Serialize)]
 pub struct SchedulerRecord {
     pub record: String,
-    /// `sequential`, `conservative`, `conservative-parallel`, `optimistic`.
+    /// `sequential`, `optimistic`, `conservative-parallel`,
+    /// `conservative-async` or `sharded-conservative`.
     pub scheduler: String,
     pub threads: usize,
     /// Pending-event queue implementation: `heap` or `ladder`.
@@ -366,13 +367,15 @@ pub struct SchedulerRecord {
     /// Events delivered across OS-process shards through a transport
     /// (sharded runs only).
     pub cross_shard_events: u64,
-    /// Synchronization rounds (conservative windows or GVT epochs).
+    /// Synchronization rounds (conservative windows, GVT epochs or shard
+    /// fences), or the conservative-async scheduler's scheduling
+    /// iterations — as worker 0 counts them.
     pub rounds: u64,
     /// LP blocks migrated between workers by work stealing
     /// (conservative-async scheduler only).
     pub steals: u64,
-    /// Total nanoseconds workers spent stalled waiting for peer horizons
-    /// to advance (conservative-async scheduler only).
+    /// Total nanoseconds workers spent stalled at barriers or waiting for
+    /// peer horizons to advance (0 for sequential runs).
     pub horizon_stall_ns: u64,
     /// Max observed gap between the most- and least-advanced published
     /// safe-horizons (conservative-async scheduler only).
